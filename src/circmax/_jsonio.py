@@ -1,43 +1,15 @@
-"""JSON writing with full-precision decimal floats.
+"""JSON reading and writing on the stdlib codec.
 
-Every float is rendered with %.17g so that 64-bit values survive a
-write/read round trip bit-exactly.  Reading uses the stdlib parser.
+Floats are written as their shortest round-trip repr, so 64-bit values
+survive a write/read round trip bit-exactly; non-finite floats raise
+ValueError.
 """
 
 import json
 
 
-def _render(obj, indent, level):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, int):
-        return repr(obj)
-    if isinstance(obj, float):
-        if obj != obj or obj in (float("inf"), float("-inf")):
-            raise ValueError("non-finite float in JSON output")
-        return format(obj, ".17g")
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [_render(v, indent, level + 1) for v in obj]
-        return "[\n" + ",\n".join(pad_in + s for s in items) + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f"{json.dumps(str(k))}: {_render(v, indent, level + 1)}"
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(pad_in + s for s in items) + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
 def dumps(obj, indent=2) -> str:
-    return _render(obj, indent, 0) + "\n"
+    return json.dumps(obj, indent=indent, allow_nan=False) + "\n"
 
 
 def dump(obj, path, indent=2) -> None:

@@ -230,20 +230,33 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
-def _unique_eigvals(C: BlockCirculant):
-    """Eigenvalues of the unique frequency blocks, with multiplicities."""
-    psi = np.fft.fft(C.first_col, axis=0)
-    freqs = unique_frequencies(C.N)
-    eigs = [np.linalg.eigvalsh(_hermitian_part(psi[l])) for l, _ in freqs]
-    return psi, freqs, eigs
+def _half_spectrum(C: BlockCirculant):
+    """Unique frequency blocks Psi_0..Psi_{N//2}, their eigenvalues and multiplicities.
+
+    One rfft along the block axis and one batched eigvalsh on the
+    Hermitian parts; conjugate frequency pairs count twice.
+    """
+    psi = _hermitian_part(np.fft.rfft(C.first_col, axis=0))
+    mult = np.full(len(psi), 2.0)
+    mult[0] = 1.0
+    if C.N % 2 == 0:
+        mult[-1] = 1.0
+    return psi, np.linalg.eigvalsh(psi), mult
+
+
+def _require_pd(w: np.ndarray, what: str) -> None:
+    """Raise NotPositiveDefiniteError naming the first frequency at or below tolerance."""
+    bad = np.flatnonzero(w[:, 0] <= pd_tolerance(float(np.abs(w).max())))
+    if bad.size:
+        l = int(bad[0])
+        raise NotPositiveDefiniteError(
+            f"{what}: frequency {l} has eigenvalue {w[l, 0]:.3e}")
 
 
 def spectral_bounds(C: BlockCirculant) -> tuple[float, float]:
     """(smallest eigenvalue, largest absolute eigenvalue) over all frequencies."""
-    _, _, eigs = _unique_eigvals(C)
-    lo = min(float(w[0]) for w in eigs)
-    hi = max(float(np.abs(w).max()) for w in eigs)
-    return lo, hi
+    _, w, _ = _half_spectrum(C)
+    return float(w[:, 0].min()), float(np.abs(w).max())
 
 
 def pd_tolerance(max_abs_eig: float) -> float:
@@ -256,35 +269,18 @@ def is_positive_definite(C: BlockCirculant) -> bool:
 
 
 def logdet(C: BlockCirculant) -> float:
-    """log det of the assembled matrix, summed frequency-wise in fixed order."""
-    _, freqs, eigs = _unique_eigvals(C)
-    hi = max(float(np.abs(w).max()) for w in eigs)
-    tol = pd_tolerance(hi)
-    total = 0.0
-    for (l, mult), w in zip(freqs, eigs):
-        if w[0] <= tol:
-            raise NotPositiveDefiniteError(
-                f"not positive definite: frequency {l} has eigenvalue {w[0]:.3e}")
-        total += mult * float(np.log(w).sum())
-    return total
+    """log det of the assembled matrix, summed over the unique frequencies."""
+    _, w, mult = _half_spectrum(C)
+    _require_pd(w, "not positive definite")
+    return float(mult @ np.log(w).sum(axis=1))
 
 
 def inverse(C: BlockCirculant) -> BlockCirculant:
     """Frequency-wise inverse of a symmetric positive definite circulant."""
-    psi, freqs, eigs = _unique_eigvals(C)
-    hi = max(float(np.abs(w).max()) for w in eigs)
-    tol = pd_tolerance(hi)
-    inv = np.empty_like(psi)
-    for (l, mult), w in zip(freqs, eigs):
-        if w[0] <= tol:
-            raise NotPositiveDefiniteError(
-                f"not invertible: frequency {l} has eigenvalue {w[0]:.3e}")
-        block = np.linalg.inv(_hermitian_part(psi[l]))
-        block = _hermitian_part(block)
-        inv[l] = block
-        if mult == 2:
-            inv[C.N - l] = block.conj()
-    return idft_reconstruct(SpectralForm(C.m, C.N, inv))
+    psi, w, _ = _half_spectrum(C)
+    _require_pd(w, "not invertible")
+    inv = _hermitian_part(np.linalg.inv(psi))
+    return BlockCirculant(C.m, C.N, np.fft.irfft(inv, n=C.N, axis=0))
 
 
 def project_circulant(M: np.ndarray, m: int) -> BlockCirculant:

@@ -2,8 +2,7 @@
 
 Subcommands: extend, identify, sample, feasibility, verify.  Exit codes
 are stable across subcommands: 0 success, 1 input error, 2 infeasible or
-degenerate data, 3 verification failure.  The CMX_THREADS environment
-variable caps internal parallelism (0 means sequential).
+degenerate data, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -160,8 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="circmax",
         description="Maximum-entropy band extension of block-circulant "
-                    "covariances and reciprocal model identification.",
-        epilog="Set CMX_THREADS to cap internal parallelism (0 = sequential).")
+                    "covariances and reciprocal model identification.")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("extend", help="maximum-entropy extension of a band")

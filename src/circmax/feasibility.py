@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _threads
 from .blockcirc import (BlockCirculant, CovBand, pd_tolerance, spectral_bounds)
 from .errors import DimensionError, HorizonExhaustedError, InfeasibleBandError
 
@@ -132,6 +131,11 @@ def feasibility_certificate(band: CovBand, N_max: int | None = None) -> Feasibil
     Returns the N, the wrapped circulant, and the scanned min-eigenvalue
     trace.  Raises InfeasibleBandError when T_n is not PD and
     HorizonExhaustedError (carrying the trace) when no N works.
+
+    The scan stops at the first PD wrap, so only N <= N* is probed, N*
+    being the returned N.  Each probe is one FFT plus one batched eigen
+    solve over N/2+1 blocks, O(N m^3), for O(N*^2 m^3) in total; the AR
+    extension up to lag N_max/2 takes O(N_max m^2) memory.
     """
     n = band.n
     if N_max is None:
@@ -143,17 +147,12 @@ def feasibility_certificate(band: CovBand, N_max: int | None = None) -> Feasibil
     extended = np.concatenate(
         [band.sigma, ar_extend(lev, band, max(needed, 0))], axis=0)
 
-    candidates = list(range(2 * n + 1, N_max + 1))
-
-    def probe(N: int):
+    trace: dict[int, float] = {}
+    for N in range(2 * n + 1, N_max + 1):
         wrap = wrap_sequence(band.m, N, extended)
         lo, hi = spectral_bounds(wrap)
-        return wrap, lo, pd_tolerance(hi)
-
-    trace: dict[int, float] = {}
-    for N, (wrap, lo, tol) in zip(candidates, _threads.map_ordered(probe, candidates)):
         trace[N] = lo
-        if lo > tol:
+        if lo > pd_tolerance(hi):
             return FeasibilityCertificate(N, wrap, trace)
     raise HorizonExhaustedError(
         f"horizon exhausted: no feasible N up to {N_max}", min_eig_trace=trace)

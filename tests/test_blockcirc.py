@@ -172,6 +172,53 @@ class TestInverse:
             cm.inverse(cm.BlockCirculant(1, 4, blocks(2, 1, 0, 1)))
 
 
+def _oracle_eigs(C):
+    """eigvalsh of the Hermitian part of every block of the full spectrum."""
+    psi = np.fft.fft(C.first_col, axis=0)
+    return np.array([np.linalg.eigvalsh(0.5 * (p + p.conj().T)) for p in psi])
+
+
+def _pd_circulant(rng, m, N):
+    """Random symmetric circulant shifted so that its smallest eigenvalue is 1."""
+    col = rng.standard_normal((N, m, m))
+    sym = 0.5 * (col + col[(-np.arange(N)) % N].swapaxes(1, 2))
+    sym[0] += (1.0 - _oracle_eigs(cm.BlockCirculant(m, N, sym)).min()) * np.eye(m)
+    return cm.BlockCirculant(m, N, sym)
+
+
+class TestBatchedSpectrum:
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 7, 8, 15, 16])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_matches_per_block_oracle(self, m, N):
+        rng = np.random.default_rng(100 * m + N)
+        C = _pd_circulant(rng, m, N)
+        w = _oracle_eigs(C)
+        lo, hi = cm.spectral_bounds(C)
+        assert abs(lo - w.min()) <= 1e-12 * (1 + abs(w).max())
+        assert abs(hi - np.abs(w).max()) <= 1e-12 * (1 + abs(w).max())
+        want = float(np.log(w).sum())
+        assert abs(cm.logdet(C) - want) <= 1e-12 * (1 + abs(want))
+        psi = np.fft.fft(C.first_col, axis=0)
+        inv = np.fft.ifft(np.array([np.linalg.inv(p) for p in psi]), axis=0).real
+        got = cm.inverse(C).first_col
+        assert np.abs(got - inv).max() <= 1e-12 * (1 + np.abs(inv).max())
+
+    @pytest.mark.parametrize("N", [5, 6])
+    def test_error_names_first_bad_frequency(self, N):
+        # scalar spectrum 3, 2, -1, -1, ... (symmetric in l -> N-l): l = 2 fails first
+        spec = np.array([3.0, 2.0] + [-1.0] * (N - 3) + [2.0])
+        first = np.fft.ifft(spec).real
+        col = np.zeros((N, 2, 2))
+        col[:, 0, 0] = first
+        col[0, 1, 1] = 5.0
+        C = cm.BlockCirculant(2, N, col)
+        assert abs(cm.spectral_bounds(C)[0] + 1.0) < 1e-12
+        with pytest.raises(cm.NotPositiveDefiniteError, match="frequency 2 has eigenvalue"):
+            cm.logdet(C)
+        with pytest.raises(cm.NotPositiveDefiniteError, match="frequency 2 has eigenvalue"):
+            cm.inverse(C)
+
+
 class TestProjection:
     def test_idempotent_on_circulants(self):
         rng = np.random.default_rng(5)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import circmax as cm
+from circmax import feasibility
 from conftest import dense_toeplitz_oracle, random_stationary_band
 
 
@@ -163,6 +164,41 @@ class TestFeasibleN:
         wrap = cm.wrap_sequence(1, 4, lags)
         assert wrap.first_col[2, 0, 0] == 2 * lags[2, 0, 0]
         assert wrap.is_symmetric()
+
+    @staticmethod
+    def _count_probes(monkeypatch):
+        calls = []
+        probe = feasibility.spectral_bounds
+
+        def counting(C):
+            calls.append(C.N)
+            return probe(C)
+
+        monkeypatch.setattr(feasibility, "spectral_bounds", counting)
+        return calls
+
+    @pytest.mark.parametrize("rho", [0.0, -0.6, -0.8])
+    def test_scan_stops_at_first_feasible_wrap(self, monkeypatch, rho):
+        calls = self._count_probes(monkeypatch)
+        band = cm.CovBand(1, 1, blocks(1.0, rho))
+        cert = cm.feasibility_certificate(band)
+        assert len(calls) == len(cert.min_eig_trace) == cert.N - 2 * band.n
+        assert calls == list(cert.min_eig_trace)
+
+    def test_scan_stops_early_multichannel(self, monkeypatch):
+        calls = self._count_probes(monkeypatch)
+        band = random_stationary_band(np.random.default_rng(31), 2, 2)
+        cert = cm.feasibility_certificate(band)
+        assert len(calls) == len(cert.min_eig_trace) == cert.N - 2 * band.n
+
+    def test_exhausted_scan_probes_each_N_once(self, monkeypatch):
+        calls = self._count_probes(monkeypatch)
+        band = cm.CovBand(1, 1, blocks(1.0, -0.9))
+        with pytest.raises(cm.HorizonExhaustedError) as err:
+            cm.feasibility_certificate(band, N_max=48)
+        trace = err.value.min_eig_trace
+        assert len(calls) == len(trace) == 48 - 2 * band.n
+        assert calls == list(trace)
 
     def test_threaded_scan_matches_sequential(self, monkeypatch):
         band = cm.CovBand(1, 1, blocks(1.0, -0.8))
