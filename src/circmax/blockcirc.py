@@ -193,13 +193,18 @@ def assemble_banded(m: int, N: int, blocks: np.ndarray) -> BlockCirculant:
     return assemble_circulant(CovBand(m, len(blocks) - 1, blocks), N)
 
 
+def _multiplicities(N: int) -> np.ndarray:
+    """Conjugate multiplicities of frequencies 0..N//2: 1 at 0 and N/2, else 2."""
+    mult = np.full(N // 2 + 1, 2.0)
+    mult[0] = 1.0
+    if N % 2 == 0:
+        mult[-1] = 1.0
+    return mult
+
+
 def unique_frequencies(N: int):
     """Indices 0..floor(N/2) with conjugate multiplicities (1 or 2)."""
-    out = []
-    for l in range(N // 2 + 1):
-        mult = 1 if (l == 0 or 2 * l == N) else 2
-        out.append((l, mult))
-    return out
+    return [(l, int(mu)) for l, mu in enumerate(_multiplicities(N))]
 
 
 def dft_block_diagonalize(C: BlockCirculant) -> SpectralForm:
@@ -237,11 +242,12 @@ def _half_spectrum(C: BlockCirculant):
     Hermitian parts; conjugate frequency pairs count twice.
     """
     psi = _hermitian_part(np.fft.rfft(C.first_col, axis=0))
-    mult = np.full(len(psi), 2.0)
-    mult[0] = 1.0
-    if C.N % 2 == 0:
-        mult[-1] = 1.0
-    return psi, np.linalg.eigvalsh(psi), mult
+    return psi, np.linalg.eigvalsh(psi), _multiplicities(C.N)
+
+
+def _from_half_spectrum(m: int, N: int, psi: np.ndarray) -> BlockCirculant:
+    """Real block circulant whose unique frequency blocks are the Hermitian parts of psi."""
+    return BlockCirculant(m, N, np.fft.irfft(_hermitian_part(psi), n=N, axis=0))
 
 
 def _require_pd(w: np.ndarray, what: str) -> None:
@@ -279,8 +285,7 @@ def inverse(C: BlockCirculant) -> BlockCirculant:
     """Frequency-wise inverse of a symmetric positive definite circulant."""
     psi, w, _ = _half_spectrum(C)
     _require_pd(w, "not invertible")
-    inv = _hermitian_part(np.linalg.inv(psi))
-    return BlockCirculant(C.m, C.N, np.fft.irfft(inv, n=C.N, axis=0))
+    return _from_half_spectrum(C.m, C.N, np.linalg.inv(psi))
 
 
 def project_circulant(M: np.ndarray, m: int) -> BlockCirculant:

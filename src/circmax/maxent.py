@@ -15,9 +15,11 @@ problem and M itself is the reciprocal model of the data.
 
 The iteration is a damped Newton method in the band coordinates with a
 positivity-guarded Armijo backtracking line search; the Hessian
-Tr(M^{-1} E_a M^{-1} E_b) is assembled frequency-wise.  Above a band
-dimension of HESSIAN_DIM_LIMIT the method falls back to gradient
-descent with the same line search.
+Tr(M^{-1} E_a M^{-1} E_b) is assembled on the N//2+1 unique frequencies.
+With dim = m(m+1)/2 + n m^2 band coordinates, the coordinate responses W
+and the Hessian intermediate each hold dim x (N//2+1) x m^2 complex
+numbers, and one iteration costs O(dim^2 N m^2).  solve rejects
+dim > HESSIAN_DIM_LIMIT with DimensionError before allocating either.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockcirc import (BlockCirculant, CovBand, assemble_banded,
+from .blockcirc import (BlockCirculant, CovBand, _from_half_spectrum,
+                        _hermitian_part, _multiplicities, assemble_banded,
                         is_strictly_positive, logdet, pd_tolerance,
-                        spectral_bounds, unique_frequencies)
+                        spectral_bounds)
 from .errors import (ConvergenceError, DimensionError, HorizonExhaustedError,
                      InfeasibleBandError, InfeasibleExtensionError,
                      NotPositiveDefiniteError)
@@ -93,104 +96,64 @@ class ExtensionResult:
         return iter((self.sigma_opt, self.model, self.diagnostics))
 
 
+def _band_dim(m: int, n: int) -> int:
+    """Number of free coordinates of a symmetric banded circulant."""
+    return m * (m + 1) // 2 + n * m * m
+
+
 class _BandCoords:
     """Coordinates on symmetric banded circulants of bandwidth n on Z_N.
 
-    Layout: M_0 diagonal entries, M_0 upper off-diagonal pairs, then the
-    full blocks M_1..M_n row-major.  ``W[a, u]`` is the frequency response
-    of coordinate direction a at the u-th unique frequency.
+    Layout: M_0 diagonal entries, M_0 upper off-diagonal pairs row-major,
+    then the full blocks M_1..M_n row-major.  ``W[a, u]`` is the
+    frequency response of coordinate direction a at the u-th unique
+    frequency.
     """
 
     def __init__(self, m: int, n: int, N: int):
         self.m, self.n, self.N = m, n, N
-        self.dim = m * (m + 1) // 2 + n * m * m
-        freqs = unique_frequencies(N)
-        self.freq_idx = np.array([l for l, _ in freqs])
-        self.mult = np.array([mu for _, mu in freqs], dtype=float)
-        W = np.zeros((self.dim, len(freqs), m, m), dtype=complex)
-        a = 0
-        for i in range(m):
-            W[a, :, i, i] = 1.0
-            a += 1
-        for i in range(m):
-            for j in range(i + 1, m):
-                W[a, :, i, j] = 1.0
-                W[a, :, j, i] = 1.0
-                a += 1
-        for k in range(1, n + 1):
-            phase = np.exp(2j * np.pi * self.freq_idx * k / N)
-            for i in range(m):
-                for j in range(m):
-                    W[a, :, i, j] += phase
-                    W[a, :, j, i] += phase.conj()
-                    a += 1
+        self.dim = _band_dim(m, n)
+        self.mult = _multiplicities(N)
+        # the coordinate order sets how each Newton solve rounds, so it stays fixed
+        iu = np.triu_indices(m, 1)
+        self.iu = (np.r_[np.arange(m), iu[0]], np.r_[np.arange(m), iu[1]])
+        n0 = len(self.iu[0])
+        W = np.zeros((self.dim, len(self.mult), m, m), dtype=complex)
+        a0 = np.arange(n0)
+        W[a0, :, self.iu[0], self.iu[1]] = 1.0
+        W[a0, :, self.iu[1], self.iu[0]] = 1.0
+        k, i, j = np.indices((n, m, m)).reshape(3, -1)
+        a = n0 + np.arange(n * m * m)
+        phase = np.exp(2j * np.pi * np.arange(len(self.mult)) * (k + 1)[:, None] / N)
+        W[a, :, i, j] = phase
+        W[a, :, j, i] += phase.conj()
         self.W = W
+        # the pairing counts an off-diagonal M_0 entry and every M_k, k >= 1, twice
+        self.pair_weight = N * np.r_[np.ones(m), np.full(self.dim - m, 2.0)]
 
     def blocks_of(self, x: np.ndarray) -> np.ndarray:
-        m, n = self.m, self.n
-        B = np.zeros((n + 1, m, m))
-        a = 0
-        for i in range(m):
-            B[0, i, i] = x[a]
-            a += 1
-        for i in range(m):
-            for j in range(i + 1, m):
-                B[0, i, j] = B[0, j, i] = x[a]
-                a += 1
-        for k in range(1, n + 1):
-            B[k] = x[a:a + m * m].reshape(m, m)
-            a += m * m
+        n0 = len(self.iu[0])
+        B = np.zeros((self.n + 1, self.m, self.m))
+        B[0][self.iu] = B[0][self.iu[::-1]] = x[:n0]
+        B[1:] = x[n0:].reshape(self.n, self.m, self.m)
         return B
 
     def vec_of(self, blocks: np.ndarray) -> np.ndarray:
-        m, n = self.m, self.n
-        x = np.empty(self.dim)
-        a = 0
-        for i in range(m):
-            x[a] = blocks[0, i, i]
-            a += 1
-        for i in range(m):
-            for j in range(i + 1, m):
-                x[a] = 0.5 * (blocks[0, i, j] + blocks[0, j, i])
-                a += 1
-        for k in range(1, n + 1):
-            x[a:a + m * m] = blocks[k].reshape(-1)
-            a += m * m
-        return x
+        b0 = 0.5 * (blocks[0] + blocks[0].T)
+        return np.concatenate([b0[self.iu], blocks[1:].reshape(-1)])
 
     def pair_vec(self, blocks: np.ndarray) -> np.ndarray:
         """Euclidean gradient of x -> <M(x), circulant(blocks)>."""
-        m, n, N = self.m, self.n, self.N
-        g = np.empty(self.dim)
-        a = 0
-        for i in range(m):
-            g[a] = N * blocks[0, i, i]
-            a += 1
-        for i in range(m):
-            for j in range(i + 1, m):
-                g[a] = 2.0 * N * blocks[0, i, j]
-                a += 1
-        for k in range(1, n + 1):
-            g[a:a + m * m] = (2.0 * N) * blocks[k].reshape(-1)
-            a += m * m
-        return g
+        flat = np.concatenate([blocks[0][self.iu], blocks[1:].reshape(-1)])
+        return self.pair_weight * flat
 
     def psi_of(self, x: np.ndarray) -> np.ndarray:
         return np.einsum("a,alij->lij", x, self.W)
 
-    def full_spectrum(self, psi_unique: np.ndarray) -> np.ndarray:
-        full = np.empty((self.N, self.m, self.m), dtype=complex)
-        for u, l in enumerate(self.freq_idx):
-            full[l] = psi_unique[u]
-            if self.mult[u] == 2.0:
-                full[self.N - l] = psi_unique[u].conj()
-        return full
-
 
 def _eig_floor(psi_unique: np.ndarray, pd_guard: float):
     """Batch eigenvalues of Hermitian parts; (eigs, min, tolerance)."""
-    H = 0.5 * (psi_unique + psi_unique.conj().swapaxes(-1, -2))
-    w = np.linalg.eigvalsh(H)
+    w = np.linalg.eigvalsh(_hermitian_part(psi_unique))
     lo = float(w[:, 0].min())
     tol = pd_guard * (1.0 + float(np.abs(w).max()))
     return w, lo, tol
@@ -202,13 +165,9 @@ def _logdet_from_eigs(w: np.ndarray, mult: np.ndarray) -> float:
 
 def _lag_blocks_of_inverse(coords: _BandCoords, psi_inv_unique: np.ndarray) -> np.ndarray:
     """Lag blocks 0..n of the inverse circulant from its unique spectrum."""
-    col = np.fft.ifft(coords.full_spectrum(psi_inv_unique), axis=0).real
-    n, N = coords.n, coords.N
-    out = np.empty((n + 1, coords.m, coords.m))
-    out[0] = 0.5 * (col[0] + col[0].T)
-    for k in range(1, n + 1):
-        out[k] = 0.5 * (col[(N - k) % N] + col[k].T)
-    return out
+    col = np.fft.irfft(psi_inv_unique, n=coords.N, axis=0)
+    k = np.arange(coords.n + 1)
+    return 0.5 * (col[-k % coords.N] + col[k].swapaxes(1, 2))
 
 
 def _block_norm(blocks: np.ndarray) -> float:
@@ -304,6 +263,11 @@ def solve(band: CovBand, N: int, cfg: SolverConfig | None = None,
     m, n = band.m, band.n
     if N < 2 * n + 1:
         raise DimensionError(f"N={N} below 2n+1={2 * n + 1}")
+    dim = _band_dim(m, n)
+    if dim > HESSIAN_DIM_LIMIT:
+        raise DimensionError(
+            f"band dimension m(m+1)/2 + n m^2 = {dim} exceeds the Newton limit "
+            f"{HESSIAN_DIM_LIMIT}")
     if not is_strictly_positive(band):
         raise InfeasibleBandError("infeasible band: T_n is not positive definite")
 
@@ -313,7 +277,6 @@ def solve(band: CovBand, N: int, cfg: SolverConfig | None = None,
     f_shift = m * N * math.log(scale)
 
     coords = _BandCoords(m, n, N)
-    use_newton = coords.dim <= HESSIAN_DIM_LIMIT
     p = coords.pair_vec(np.asarray(wband.sigma))
     band_norm = wband.norm()
 
@@ -349,29 +312,26 @@ def solve(band: CovBand, N: int, cfg: SolverConfig | None = None,
             for k in range(n + 1))
         if grad_norm_rel <= cfg.grad_tol and band_match <= 10.0 * cfg.grad_tol:
             model = ReciprocalModel(m, n, N, coords.blocks_of(x) / scale)
-            sigma_opt = _sigma_from_spectrum(coords, psi_inv, scale)
+            sigma_opt = _from_half_spectrum(m, N, scale * psi_inv)
             state = DualState(model, f + f_shift, grad_norm_rel, it - 1)
             diag = SolveDiagnostics(it - 1, trace, grad_norm_rel, band_match, True, state)
             return ExtensionResult(sigma_opt, model, diag)
 
-        if use_newton:
-            K = np.einsum("lij,aljk,lkn->alin", psi_inv, coords.W, psi_inv)
-            H = np.einsum("alij,blji,l->ab", K, coords.W, coords.mult).real
-            H = 0.5 * (H + H.T)
-            try:
-                s = np.linalg.solve(H, -g)
-            except np.linalg.LinAlgError:
-                s = -g
-            if g @ s >= 0.0:
-                s = -g
-        else:
+        K = np.einsum("lij,aljk,lkn->alin", psi_inv, coords.W, psi_inv)
+        H = np.einsum("alij,blji,l->ab", K, coords.W, coords.mult).real
+        H = 0.5 * (H + H.T)
+        try:
+            s = np.linalg.solve(H, -g)
+        except np.linalg.LinAlgError:
+            s = -g
+        if g @ s >= 0.0:
             s = -g
 
         s_psi = coords.psi_of(s)
         gs = float(g @ s)
         # below this, objective comparisons drown in rounding noise
         noise_floor = 1e-14 * (1.0 + abs(f))
-        endgame = use_newton and -gs <= noise_floor
+        endgame = -gs <= noise_floor
         t = 1.0
         while True:
             trial_psi = psi + t * s_psi
@@ -413,9 +373,3 @@ def solve(band: CovBand, N: int, cfg: SolverConfig | None = None,
         f"no convergence within {cfg.max_iter} iterations "
         f"(relative gradient {grad_norm_rel:.3e})", diagnostics=diag)
 
-
-def _sigma_from_spectrum(coords: _BandCoords, psi_inv_unique: np.ndarray,
-                         scale: float = 1.0) -> BlockCirculant:
-    inv_herm = 0.5 * (psi_inv_unique + psi_inv_unique.conj().swapaxes(-1, -2))
-    col = np.fft.ifft(coords.full_spectrum(inv_herm), axis=0).real
-    return BlockCirculant(coords.m, coords.N, scale * col)

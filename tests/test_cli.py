@@ -207,3 +207,19 @@ class TestUsage:
 
     def test_missing_required_flag_exits_1(self):
         assert main(["extend", "--N", "8", "--out", "x"]) == 1
+
+
+class TestJsonio:
+    def test_compact_output(self):
+        text = _jsonio.dumps({"m": 1, "sigma": [[1.0], [0.5]]})
+        assert text == '{"m":1,"sigma":[[1.0],[0.5]]}\n'
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_float_raises(self, tmp_path, bad):
+        with pytest.raises(ValueError):
+            _jsonio.dumps({"sigma": [[1.0], [bad]]})
+        path = tmp_path / "kept.json"
+        _jsonio.dump([1.0], path)
+        with pytest.raises(ValueError):
+            _jsonio.dump([bad], path)
+        assert _jsonio.load(path) == [1.0]

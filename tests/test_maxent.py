@@ -1,7 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 import circmax as cm
+import circmax.maxent as maxent
+from circmax.cli import main
+from circmax.maxent import _BandCoords
 from conftest import (bruteforce_scalar_extension, random_model,
                       random_stationary_band, scalar_circulant_dense)
 
@@ -9,6 +14,29 @@ from conftest import (bruteforce_scalar_extension, random_model,
 def blocks(*vals):
     a = np.asarray(vals, dtype=float)
     return a.reshape(len(vals), 1, 1)
+
+
+class TestBandCoords:
+    @pytest.mark.parametrize("m,n,N", [(1, 0, 1), (1, 2, 5), (2, 1, 4), (2, 2, 9),
+                                       (3, 1, 8), (3, 2, 5)])
+    def test_against_circulant_oracle(self, m, n, N):
+        coords = _BandCoords(m, n, N)
+        assert coords.dim == m * (m + 1) // 2 + n * m * m
+        for a in range(coords.dim):
+            e = np.zeros(coords.dim)
+            e[a] = 1.0
+            C = cm.assemble_banded(m, N, coords.blocks_of(e))
+            want = np.fft.rfft(C.first_col, axis=0)
+            assert np.abs(coords.W[a] - want).max() <= 1e-13
+        rng = np.random.default_rng(m + n + N)
+        x = rng.standard_normal(coords.dim)
+        assert np.array_equal(coords.vec_of(coords.blocks_of(x)), x)
+        B = rng.standard_normal((n + 1, m, m))
+        B[0] = B[0] + B[0].T
+        Mc = cm.assemble_banded(m, N, coords.blocks_of(x)).first_col
+        Bc = cm.assemble_banded(m, N, B).first_col
+        want = N * float(np.sum(Mc * Bc))
+        assert abs(coords.pair_vec(B) @ x - want) <= 1e-12 * (1.0 + abs(want))
 
 
 class TestDualObjective:
@@ -155,6 +183,19 @@ class TestSolve:
         assert diag.iterations == 2
         assert len(diag.objective_trace) == 3
         assert not diag.converged
+
+    def test_band_dimension_limit(self, monkeypatch, tmp_path):
+        band = cm.CovBand(1, 1, blocks(1.0, 0.5))  # dim = 1 + 1 = 2
+        monkeypatch.setattr(maxent, "HESSIAN_DIM_LIMIT", 2)
+        assert cm.solve(band, 8).diagnostics.converged
+        monkeypatch.setattr(maxent, "HESSIAN_DIM_LIMIT", 1)
+        with pytest.raises(cm.DimensionError):
+            cm.solve(band, 8)
+        path = tmp_path / "band.json"
+        path.write_text(json.dumps(band.to_json_dict()))
+        out = tmp_path / "out"
+        assert main(["extend", "--band", str(path), "--N", "8", "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_config_validation(self):
         with pytest.raises(cm.DimensionError):

@@ -15,6 +15,25 @@ def exact_lags(model, count):
     return np.array([C.lag(k) for k in range(count)])
 
 
+def sample_oracle(model, T, seed):
+    """Reference sampler: one eigh per frequency over all N, complex FFTs."""
+    psi = np.fft.fft(model.assembled().first_col, axis=0)
+    roots = np.empty_like(psi)
+    for l in range(model.N):
+        H = 0.5 * (psi[l] + psi[l].conj().T)
+        w, V = np.linalg.eigh(H)
+        roots[l] = (V / np.sqrt(w)) @ V.conj().T
+    Z = np.random.default_rng(seed).standard_normal((T, model.N, model.m))
+    Zh = np.fft.ifft(Z, axis=1)
+    return np.fft.fft(np.einsum("lij,tlj->tli", roots, Zh), axis=1).real
+
+
+def dense_inverse_residual(model, C):
+    """||M_N C - I||_F from the assembled dense matrices."""
+    prod = model.assembled().to_dense() @ C.to_dense()
+    return float(np.linalg.norm(prod - np.eye(C.m * C.N)))
+
+
 class TestYuleWalker:
     def test_white_noise(self):
         lags = np.zeros((5, 2, 2))
@@ -163,6 +182,22 @@ class TestVerifyModel:
         rep = cm.verify_model(model, other)
         assert rep.inverse_residual > 1e-3
 
+    @pytest.mark.parametrize("seed,m,n,N", [(0, 1, 1, 8), (1, 2, 1, 7),
+                                            (2, 3, 2, 10), (3, 2, 2, 5)])
+    def test_inverse_residual_matches_dense_oracle(self, seed, m, n, N):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, m, n, N)
+        matched = cm.covariance_of_model(model)
+        mismatched = cm.covariance_of_model(random_model(rng, m, n, N))
+        # a generic non-symmetric block sequence: no Hermitian structure
+        nonsym = cm.BlockCirculant(m, N, rng.standard_normal((N, m, m)))
+        for C in (matched, mismatched, nonsym):
+            want = dense_inverse_residual(model, C)
+            got = cm.verify_model(model, C).inverse_residual
+            # the matched residual is rounding noise: hold it to an absolute bound
+            scale = 1.0 if C is matched else want
+            assert abs(got - want) <= 1e-12 * scale
+
 
 class TestSample:
     def test_determinism(self):
@@ -220,6 +255,15 @@ class TestSample:
         bad = cm.ReciprocalModel(1, 1, 5, blocks(1.0, 0.8))
         with pytest.raises(cm.InvalidModelError):
             cm.sample(bad, 3, seed=0)
+
+    @pytest.mark.parametrize("m,n,N", [(1, 0, 1), (1, 1, 3), (1, 2, 8), (2, 0, 2),
+                                       (2, 1, 7), (2, 2, 5), (3, 1, 10), (3, 3, 7)])
+    def test_matches_per_frequency_oracle(self, m, n, N):
+        rng = np.random.default_rng(100 * m + 10 * n + N)
+        model = random_model(rng, m, n, N)
+        want = sample_oracle(model, 6, seed=N)
+        got = cm.sample(model, 6, seed=N).realizations
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestJson:
