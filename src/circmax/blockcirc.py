@@ -182,9 +182,8 @@ def assemble_circulant(band: CovBand, N: int) -> BlockCirculant:
         raise DimensionError(f"N={N} < 2n+1={2 * n + 1}: band blocks would collide")
     col = np.zeros((N, m, m))
     col[0] = band.sigma[0]
-    for k in range(1, n + 1):
-        col[k] = band.sigma[k].T
-        col[N - k] = band.sigma[k]
+    col[1:n + 1] = band.sigma[1:].swapaxes(1, 2)
+    col[N - n:] = band.sigma[:0:-1]
     return BlockCirculant(m, N, col)
 
 

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockcirc import CovBand, is_strictly_positive, logdet
+from .blockcirc import CovBand, is_strictly_positive
 from .errors import DegenerateDataError, DimensionError
-from .maxent import ExtensionResult, SolveDiagnostics, SolverConfig, solve
+from .maxent import (ExtensionResult, SolveDiagnostics, SolverConfig,
+                     dual_objective, solve)
 from .reciprocal import Dataset, ReciprocalModel
 
 
@@ -67,19 +68,9 @@ def log_likelihood(model: ReciprocalModel, stats: SufficientStats, T: int) -> fl
     which is log det(M_N) - Tr(M_N times the dense sample covariance).
     Only differences and the argmax are meaningful.
     """
-    if model.m != stats.m:
-        raise DimensionError("block sizes differ")
-    if model.n > stats.n:
-        raise DimensionError("model bandwidth exceeds available statistics")
     if T < 1:
         raise DimensionError("need T >= 1")
-    M = model.assembled()
-    ld = logdet(M)
-    N = model.N
-    pair = N * float(np.trace(model.M_blocks[0] @ stats.sigma_hat[0]))
-    for k in range(1, model.n + 1):
-        pair += 2.0 * N * float(np.sum(model.M_blocks[k] * stats.sigma_hat[k]))
-    return ld - pair
+    return -dual_objective(model, stats.as_band())
 
 
 def identify(data: Dataset, n: int, cfg: SolverConfig | None = None,

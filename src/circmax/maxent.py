@@ -14,12 +14,13 @@ M^{-1} reproduces the data, so Sigma_opt = M^{-1} solves the extension
 problem and M itself is the reciprocal model of the data.
 
 The iteration is a damped Newton method in the band coordinates with a
-positivity-guarded Armijo backtracking line search; the Hessian
-Tr(M^{-1} E_a M^{-1} E_b) is assembled on the N//2+1 unique frequencies.
-With dim = m(m+1)/2 + n m^2 band coordinates, the coordinate responses W
-and the Hessian intermediate each hold dim x (N//2+1) x m^2 complex
-numbers, and one iteration costs O(dim^2 N m^2).  solve rejects
-dim > HESSIAN_DIM_LIMIT with DimensionError before allocating either.
+positivity-guarded Armijo backtracking line search.  The Hessian
+Tr(M^{-1} E_a M^{-1} E_b) is gathered from one irfft of the entrywise
+products of the unique frequency blocks of M^{-1}.  With
+dim = m(m+1)/2 + n m^2 band coordinates, a solve allocates (N//2+1) m^4
+complex products, N m^4 real lags and 4 dim^2 gather indices once for
+all iterations; each costs O(N log N m^4 + dim^3).  solve rejects
+dim > HESSIAN_DIM_LIMIT with DimensionError before allocating anything.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .blockcirc import (BlockCirculant, CovBand, _from_half_spectrum,
                         _hermitian_part, _multiplicities, assemble_banded,
-                        is_strictly_positive, logdet, pd_tolerance,
+                        inverse, is_strictly_positive, logdet, pd_tolerance,
                         spectral_bounds)
 from .errors import (ConvergenceError, DimensionError, HorizonExhaustedError,
                      InfeasibleBandError, InfeasibleExtensionError,
@@ -41,7 +42,6 @@ from .feasibility import (ar_extend, block_levinson, feasibility_certificate,
 
 HESSIAN_DIM_LIMIT = 2000
 COLLAPSE_STEP = 1e-14
-DEFAULT_PD_GUARD = 1e-10
 
 
 @dataclass(frozen=True)
@@ -105,9 +105,9 @@ class _BandCoords:
     """Coordinates on symmetric banded circulants of bandwidth n on Z_N.
 
     Layout: M_0 diagonal entries, M_0 upper off-diagonal pairs row-major,
-    then the full blocks M_1..M_n row-major.  ``W[a, u]`` is the
-    frequency response of coordinate direction a at the u-th unique
-    frequency.
+    then the full blocks M_1..M_n row-major.  Coordinate a is entry
+    (i[a], j[a]) of block k[a]; it sits at the two flat positions pos[:, a]
+    of the generating sequence (B_0, B_1^T, ..., B_n^T, 0, ..., B_n, ..., B_1).
     """
 
     def __init__(self, m: int, n: int, N: int):
@@ -116,39 +116,66 @@ class _BandCoords:
         self.mult = _multiplicities(N)
         # the coordinate order sets how each Newton solve rounds, so it stays fixed
         iu = np.triu_indices(m, 1)
-        self.iu = (np.r_[np.arange(m), iu[0]], np.r_[np.arange(m), iu[1]])
-        n0 = len(self.iu[0])
-        W = np.zeros((self.dim, len(self.mult), m, m), dtype=complex)
-        a0 = np.arange(n0)
-        W[a0, :, self.iu[0], self.iu[1]] = 1.0
-        W[a0, :, self.iu[1], self.iu[0]] = 1.0
-        k, i, j = np.indices((n, m, m)).reshape(3, -1)
-        a = n0 + np.arange(n * m * m)
-        phase = np.exp(2j * np.pi * np.arange(len(self.mult)) * (k + 1)[:, None] / N)
-        W[a, :, i, j] = phase
-        W[a, :, j, i] += phase.conj()
-        self.W = W
+        self.n0 = m * (m + 1) // 2
+        rest = np.indices((n, m, m)).reshape(3, -1)
+        k = np.r_[np.zeros(self.n0, dtype=int), rest[0] + 1]
+        i = np.r_[np.arange(m), iu[0], rest[1]]
+        j = np.r_[np.arange(m), iu[1], rest[2]]
+        self.k, self.i, self.j = k, i, j
+        self.pos = np.array([(k * m + j) * m + i, ((-k % N) * m + i) * m + j])
+        # H_ab = sum_l Tr(P_l E_a P_l E_b) is a sum of four entries of the lag
+        # products R (see hessian); a diagonal M_0 direction is counted twice
+        ka, kb = k[:, None], k[None, :]
+        ia, ib, ja, jb = i[:, None], i[None, :], j[:, None], j[None, :]
+
+        def flat(d, p, q, r, s):
+            return (((p * m + q) * m + r) * m + s) * N + d % N
+
+        self.hess_idx = (flat(ka + kb, ja, ib, jb, ia), flat(ka - kb, ja, jb, ib, ia),
+                         flat(kb - ka, ia, ib, jb, ja), flat(-ka - kb, ia, jb, ib, ja))
+        diag = np.arange(self.dim) < m
+        self.hess_weight = np.where(diag, 0.5, 1.0)
         # the pairing counts an off-diagonal M_0 entry and every M_k, k >= 1, twice
-        self.pair_weight = N * np.r_[np.ones(m), np.full(self.dim - m, 2.0)]
+        self.pair_weight = N * np.where(diag, 1.0, 2.0)
+        # hessian's work arrays, reused by every Newton iteration: freed arrays
+        # this large go back to the OS, and fresh ones would fault in again
+        self._prod = np.empty((m, m, m, m, N // 2 + 1), dtype=complex)
+        self._lags = np.empty((m, m, m, m, N))
 
     def blocks_of(self, x: np.ndarray) -> np.ndarray:
-        n0 = len(self.iu[0])
         B = np.zeros((self.n + 1, self.m, self.m))
-        B[0][self.iu] = B[0][self.iu[::-1]] = x[:n0]
-        B[1:] = x[n0:].reshape(self.n, self.m, self.m)
+        B[self.k, self.i, self.j] = x
+        B[0, self.j[:self.n0], self.i[:self.n0]] = x[:self.n0]
         return B
 
     def vec_of(self, blocks: np.ndarray) -> np.ndarray:
-        b0 = 0.5 * (blocks[0] + blocks[0].T)
-        return np.concatenate([b0[self.iu], blocks[1:].reshape(-1)])
+        sym = np.array(blocks, dtype=float)
+        sym[0] = 0.5 * (sym[0] + sym[0].T)
+        return sym[self.k, self.i, self.j]
 
     def pair_vec(self, blocks: np.ndarray) -> np.ndarray:
         """Euclidean gradient of x -> <M(x), circulant(blocks)>."""
-        flat = np.concatenate([blocks[0][self.iu], blocks[1:].reshape(-1)])
-        return self.pair_weight * flat
+        return self.pair_weight * blocks[self.k, self.i, self.j]
 
     def psi_of(self, x: np.ndarray) -> np.ndarray:
-        return np.einsum("a,alij->lij", x, self.W)
+        """Unique frequency blocks of the banded circulant with coordinates x."""
+        col = np.zeros(self.N * self.m * self.m)
+        col[self.pos] = x
+        return np.fft.rfft(col.reshape(self.N, self.m, self.m), axis=0)
+
+    def hessian(self, psi_inv: np.ndarray) -> np.ndarray:
+        """Hessian of -log det M(x) from the unique blocks P_l of M^{-1}.
+
+        R[p, q, r, s, d] = sum_l P_l[p, q] P_l[r, s] exp(2j pi l d / N) over
+        all N frequencies is one irfft of the half-spectrum products; each
+        H_ab gathers four of its entries at lags +-k_a +-k_b (mod N).
+        """
+        P = psi_inv.transpose(1, 2, 0)
+        prod = np.multiply(P[:, :, None, None, :], P[None, None, :, :, :], out=self._prod)
+        R = np.fft.irfft(prod, n=self.N, axis=-1, out=self._lags).reshape(-1)
+        R *= self.N
+        idx, w = self.hess_idx, self.hess_weight
+        return w[:, None] * (R[idx[0]] + R[idx[1]] + R[idx[2]] + R[idx[3]]) * w
 
 
 def _eig_floor(psi_unique: np.ndarray, pd_guard: float):
@@ -175,15 +202,21 @@ def _block_norm(blocks: np.ndarray) -> float:
     return float(np.sqrt(sq[0] + 2.0 * sq[1:].sum()))
 
 
+def _data_lags(M, band: CovBand) -> np.ndarray:
+    """Data lags 0..M.n, the only ones a banded M pairs with."""
+    if M.m != band.m:
+        raise DimensionError("block sizes differ")
+    if M.n > band.n:
+        raise DimensionError("dual variable bandwidth exceeds the data band")
+    return np.asarray(band.sigma[:M.n + 1])
+
+
 def dual_objective(M, band: CovBand) -> float:
     """f(M) = <M, any circulant completion of the band> - log det M."""
-    coords, x = _coords_and_vec(M, band)
-    psi = coords.psi_of(x)
-    w, lo, tol = _eig_floor(psi, DEFAULT_PD_GUARD)
-    if lo <= tol:
-        raise NotPositiveDefiniteError("dual variable is not positive definite")
-    p = coords.pair_vec(_padded_band(band, coords.n))
-    return float(p @ x) - _logdet_from_eigs(w, coords.mult)
+    S = _data_lags(M, band)
+    B = np.asarray(M.M_blocks)
+    pair = M.N * (float(np.sum(B[0] * S[0])) + 2.0 * float(np.sum(B[1:] * S[1:])))
+    return pair - logdet(M.assembled())
 
 
 def dual_gradient(M, band: CovBand) -> BlockCirculant:
@@ -193,31 +226,9 @@ def dual_gradient(M, band: CovBand) -> BlockCirculant:
     trace inner product gives the directional derivative of the dual
     objective (the circulant pairing carries the multiplicity weights).
     """
-    coords, x = _coords_and_vec(M, band)
-    psi = coords.psi_of(x)
-    w, lo, tol = _eig_floor(psi, DEFAULT_PD_GUARD)
-    if lo <= tol:
-        raise NotPositiveDefiniteError("dual variable is not positive definite")
-    G = _lag_blocks_of_inverse(coords, np.linalg.inv(psi))
-    gamma = _padded_band(band, coords.n) - G
-    return assemble_banded(coords.m, coords.N, gamma)
-
-
-def _padded_band(band: CovBand, n: int) -> np.ndarray:
-    if band.n == n:
-        return np.asarray(band.sigma)
-    out = np.zeros((n + 1, band.m, band.m))
-    out[:band.n + 1] = band.sigma
-    return out
-
-
-def _coords_and_vec(M, band: CovBand):
-    if M.m != band.m:
-        raise DimensionError("block sizes differ")
-    if M.n > band.n:
-        raise DimensionError("dual variable bandwidth exceeds the data band")
-    coords = _BandCoords(M.m, M.n, M.N)
-    return coords, coords.vec_of(np.asarray(M.M_blocks))
+    S = _data_lags(M, band)
+    col = inverse(M.assembled()).first_col
+    return assemble_banded(M.m, M.N, S - col[-np.arange(M.n + 1) % M.N])
 
 
 def entropy(C: BlockCirculant) -> float:
@@ -279,6 +290,7 @@ def solve(band: CovBand, N: int, cfg: SolverConfig | None = None,
     coords = _BandCoords(m, n, N)
     p = coords.pair_vec(np.asarray(wband.sigma))
     band_norm = wband.norm()
+    lag_scale = 1.0 + np.linalg.norm(wband.sigma, axis=(1, 2))
 
     if init is None:
         blocks0 = np.zeros((n + 1, m, m))
@@ -307,9 +319,7 @@ def solve(band: CovBand, N: int, cfg: SolverConfig | None = None,
         gamma = np.asarray(wband.sigma) - G
         g = coords.pair_vec(gamma)
         grad_norm_rel = _block_norm(gamma) / (1.0 + band_norm)
-        band_match = max(
-            float(np.linalg.norm(gamma[k]) / (1.0 + np.linalg.norm(wband.sigma[k])))
-            for k in range(n + 1))
+        band_match = float(np.max(np.linalg.norm(gamma, axis=(1, 2)) / lag_scale))
         if grad_norm_rel <= cfg.grad_tol and band_match <= 10.0 * cfg.grad_tol:
             model = ReciprocalModel(m, n, N, coords.blocks_of(x) / scale)
             sigma_opt = _from_half_spectrum(m, N, scale * psi_inv)
@@ -317,8 +327,7 @@ def solve(band: CovBand, N: int, cfg: SolverConfig | None = None,
             diag = SolveDiagnostics(it - 1, trace, grad_norm_rel, band_match, True, state)
             return ExtensionResult(sigma_opt, model, diag)
 
-        K = np.einsum("lij,aljk,lkn->alin", psi_inv, coords.W, psi_inv)
-        H = np.einsum("alij,blji,l->ab", K, coords.W, coords.mult).real
+        H = coords.hessian(psi_inv)
         H = 0.5 * (H + H.T)
         try:
             s = np.linalg.solve(H, -g)

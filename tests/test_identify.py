@@ -76,6 +76,15 @@ class TestLogLikelihood:
         got = cm.log_likelihood(model, stats, 5)
         assert abs(got - want) < 1e-10 * (1 + abs(want))
 
+    def test_equals_negated_dual_for_narrower_model(self):
+        rng = np.random.default_rng(5)
+        model = random_model(rng, 2, 1, 10)
+        data = cm.Dataset(2, 10, 4, rng.standard_normal((4, 10, 2)))
+        stats = cm.sufficient_statistics(data, 3)
+        assert cm.log_likelihood(model, stats, 4) == -cm.dual_objective(model, stats.as_band())
+        short = cm.SufficientStats(2, 1, stats.sigma_hat[:2])
+        assert cm.log_likelihood(model, stats, 4) == cm.log_likelihood(model, short, 4)
+
     def test_concavity_midpoint(self):
         rng = np.random.default_rng(4)
         stats = cm.SufficientStats(1, 1, blocks(1.0, 0.3))

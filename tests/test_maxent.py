@@ -27,7 +27,7 @@ class TestBandCoords:
             e[a] = 1.0
             C = cm.assemble_banded(m, N, coords.blocks_of(e))
             want = np.fft.rfft(C.first_col, axis=0)
-            assert np.abs(coords.W[a] - want).max() <= 1e-13
+            assert np.abs(coords.psi_of(e) - want).max() <= 1e-13
         rng = np.random.default_rng(m + n + N)
         x = rng.standard_normal(coords.dim)
         assert np.array_equal(coords.vec_of(coords.blocks_of(x)), x)
@@ -37,6 +37,36 @@ class TestBandCoords:
         Bc = cm.assemble_banded(m, N, B).first_col
         want = N * float(np.sum(Mc * Bc))
         assert abs(coords.pair_vec(B) @ x - want) <= 1e-12 * (1.0 + abs(want))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_hessian_against_dense_trace_oracle(self, m, n):
+        rng = np.random.default_rng(10 * m + n)
+        # N = 2n+1 makes the lags +-k_a +-k_b wrap around the circle
+        for N in sorted({2 * n + 1, 2 * n + 2, 2 * n + 5, 2 * n + 6}):
+            coords = _BandCoords(m, n, N)
+            M = random_model(rng, m, n, N)
+            psi = coords.psi_of(coords.vec_of(M.M_blocks))
+            H = coords.hessian(np.linalg.inv(psi))
+            Minv = np.linalg.inv(M.assembled().to_dense())
+            E = [cm.assemble_banded(m, N, coords.blocks_of(e)).to_dense()
+                 for e in np.eye(coords.dim)]
+            want = np.array([[np.trace(Minv @ Ea @ Minv @ Eb) for Eb in E] for Ea in E])
+            assert np.abs(H - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_hessian_reuses_no_returned_array(self):
+        # hessian reuses its work arrays across calls; what it returns must
+        # survive the next call unchanged and equal a fresh coordinate set's
+        m, n, N = 3, 2, 8
+        rng = np.random.default_rng(4)
+        coords = _BandCoords(m, n, N)
+        P1, P2 = (np.linalg.inv(coords.psi_of(coords.vec_of(M.M_blocks)))
+                  for M in (random_model(rng, m, n, N), random_model(rng, m, n, N)))
+        H1 = coords.hessian(P1)
+        kept = H1.copy()
+        H2 = coords.hessian(P2)
+        assert H2 is not H1 and np.array_equal(H1, kept)
+        assert np.array_equal(H2, _BandCoords(m, n, N).hessian(P2))
 
 
 class TestDualObjective:
@@ -77,6 +107,25 @@ class TestDualObjective:
             comp = base + cm.BlockCirculant(m, N, off).to_dense()
             dense_val = float(np.sum(Md * comp.T)) - np.linalg.slogdet(Md)[1]
             assert abs(f - dense_val) < 1e-9 * (1.0 + abs(f))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_model_narrower_than_band(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 4))
+        n = int(rng.integers(0, 3))
+        N = int(rng.integers(2 * n + 5, 14))
+        M = random_model(rng, m, n, N)
+        band = random_stationary_band(rng, m, n + 2)
+        Md = M.assembled().to_dense()
+        comp = cm.assemble_circulant(band, N).to_dense()
+        want = float(np.sum(Md * comp.T)) - np.linalg.slogdet(Md)[1]
+        f = cm.dual_objective(M, band)
+        assert abs(f - want) < 1e-9 * (1.0 + abs(f))
+        g = cm.dual_gradient(M, band)
+        inv = np.linalg.inv(Md)
+        lags = [band.sigma[k] - inv[k * m:(k + 1) * m, :m] for k in range(n + 1)]
+        want_g = cm.assemble_banded(m, N, np.array(lags)).first_col
+        assert np.abs(g.first_col - want_g).max() <= 1e-12
 
     def test_rejects_indefinite(self):
         band = cm.CovBand(1, 1, blocks(1.0, 0.2))
