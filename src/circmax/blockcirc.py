@@ -330,12 +330,11 @@ def toeplitz_gram(band: CovBand, order: int | None = None) -> np.ndarray:
     if n > band.n:
         raise DimensionError(f"order {n} exceeds available lags {band.n}")
     m = band.m
-    T = np.zeros(((n + 1) * m, (n + 1) * m))
-    for i in range(n + 1):
-        for j in range(n + 1):
-            blk = band.sigma[i - j] if i >= j else band.sigma[j - i].T
-            T[i * m:(i + 1) * m, j * m:(j + 1) * m] = blk
-    return T
+    # lags[n + d] = S_d for d = -n..n
+    lags = np.concatenate([band.sigma[n:0:-1].swapaxes(1, 2), band.sigma[:n + 1]])
+    i = np.arange(n + 1)
+    blocks = lags[i[:, None] - i[None, :] + n]
+    return blocks.transpose(0, 2, 1, 3).reshape((n + 1) * m, (n + 1) * m)
 
 
 def is_strictly_positive(band: CovBand) -> bool:

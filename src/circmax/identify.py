@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockcirc import CovBand, is_strictly_positive
-from .errors import DegenerateDataError, DimensionError
+from .blockcirc import CovBand
+from .errors import DegenerateDataError, DimensionError, InfeasibleBandError
 from .maxent import (ExtensionResult, SolveDiagnostics, SolverConfig,
                      dual_objective, solve)
 from .reciprocal import Dataset, ReciprocalModel
@@ -88,11 +88,12 @@ def identify(data: Dataset, n: int, cfg: SolverConfig | None = None,
         sigma = sigma.copy()
         sigma[0] = sigma[0] + ridge * np.eye(data.m)
     band = CovBand(data.m, n, sigma)
-    if not is_strictly_positive(band):
-        raise DegenerateDataError(
-            "insufficient or degenerate data: sample Toeplitz matrix not PD")
     N = data.N if extend_N is None else int(extend_N)
-    result: ExtensionResult = solve(band, N, cfg)
+    try:
+        result: ExtensionResult = solve(band, N, cfg)
+    except InfeasibleBandError as exc:
+        raise DegenerateDataError(
+            "insufficient or degenerate data: sample Toeplitz matrix not PD") from exc
     L = log_likelihood(result.model, stats, data.T)
     return IdentifyResult(result.model, result.sigma_opt, result.diagnostics,
                           stats, L)

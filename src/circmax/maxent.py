@@ -14,17 +14,24 @@ M^{-1} reproduces the data, so Sigma_opt = M^{-1} solves the extension
 problem and M itself is the reciprocal model of the data.
 
 The iteration is a damped Newton method in the band coordinates with a
-positivity-guarded Armijo backtracking line search.  The Hessian
-Tr(M^{-1} E_a M^{-1} E_b) is gathered from one irfft of the entrywise
-products of the unique frequency blocks of M^{-1}.  With
-dim = m(m+1)/2 + n m^2 band coordinates, a solve allocates (N//2+1) m^4
-complex products, N m^4 real lags and 4 dim^2 gather indices once for
-all iterations; each costs O(N log N m^4 + dim^3).  solve rejects
-dim > HESSIAN_DIM_LIMIT with DimensionError before allocating anything.
+positivity-guarded Armijo backtracking line search.  It starts at the
+band's own order-n AR model, M = A(z)^* Lambda^{-1} A(z), read off the
+same eigendecomposition of T_n that decides whether the band is
+positive; the band of its inverse misses the data only by aliasing,
+which decays geometrically in N, so large circles converge in 0-3 steps.
+The Hessian Tr(M^{-1} E_a M^{-1} E_b) is gathered from one irfft of the
+entrywise products of the unique frequency blocks of M^{-1}.  With
+dim = m(m+1)/2 + n m^2 band coordinates, the first Newton step allocates
+(N//2+1) m^4 complex products, N m^4 real lags and 4 dim^2 gather
+indices, reused by every later step; a solve that converges at its start
+allocates none of them.  Each step costs O(N log N m^4 + dim^3).  solve
+rejects dim > HESSIAN_DIM_LIMIT with DimensionError before allocating
+anything.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -32,8 +39,8 @@ import numpy as np
 
 from .blockcirc import (BlockCirculant, CovBand, _from_half_spectrum,
                         _hermitian_part, _multiplicities, assemble_banded,
-                        inverse, is_strictly_positive, logdet, pd_tolerance,
-                        spectral_bounds)
+                        inverse, logdet, pd_tolerance, spectral_bounds,
+                        toeplitz_gram)
 from .errors import (ConvergenceError, DimensionError, HorizonExhaustedError,
                      InfeasibleBandError, InfeasibleExtensionError,
                      NotPositiveDefiniteError)
@@ -42,6 +49,7 @@ from .feasibility import (ar_extend, block_levinson, feasibility_certificate,
 
 HESSIAN_DIM_LIMIT = 2000
 COLLAPSE_STEP = 1e-14
+START_MARGIN = 1e4  # the start's smallest eigenvalue, in PD guard tolerances
 
 
 @dataclass(frozen=True)
@@ -123,24 +131,8 @@ class _BandCoords:
         j = np.r_[np.arange(m), iu[1], rest[2]]
         self.k, self.i, self.j = k, i, j
         self.pos = np.array([(k * m + j) * m + i, ((-k % N) * m + i) * m + j])
-        # H_ab = sum_l Tr(P_l E_a P_l E_b) is a sum of four entries of the lag
-        # products R (see hessian); a diagonal M_0 direction is counted twice
-        ka, kb = k[:, None], k[None, :]
-        ia, ib, ja, jb = i[:, None], i[None, :], j[:, None], j[None, :]
-
-        def flat(d, p, q, r, s):
-            return (((p * m + q) * m + r) * m + s) * N + d % N
-
-        self.hess_idx = (flat(ka + kb, ja, ib, jb, ia), flat(ka - kb, ja, jb, ib, ia),
-                         flat(kb - ka, ia, ib, jb, ja), flat(-ka - kb, ia, jb, ib, ja))
-        diag = np.arange(self.dim) < m
-        self.hess_weight = np.where(diag, 0.5, 1.0)
         # the pairing counts an off-diagonal M_0 entry and every M_k, k >= 1, twice
-        self.pair_weight = N * np.where(diag, 1.0, 2.0)
-        # hessian's work arrays, reused by every Newton iteration: freed arrays
-        # this large go back to the OS, and fresh ones would fault in again
-        self._prod = np.empty((m, m, m, m, N // 2 + 1), dtype=complex)
-        self._lags = np.empty((m, m, m, m, N))
+        self.pair_weight = N * np.where(np.arange(self.dim) < m, 1.0, 2.0)
 
     def blocks_of(self, x: np.ndarray) -> np.ndarray:
         B = np.zeros((self.n + 1, self.m, self.m))
@@ -163,6 +155,29 @@ class _BandCoords:
         col[self.pos] = x
         return np.fft.rfft(col.reshape(self.N, self.m, self.m), axis=0)
 
+    @functools.cached_property
+    def _hessian_plan(self):
+        """Gather indices, weights and work arrays of hessian, built on first use.
+
+        H_ab = sum_l Tr(P_l E_a P_l E_b) is a sum of four entries of the lag
+        products R (see hessian); a diagonal M_0 direction is counted twice.
+        The work arrays are reused by every Newton iteration: freed arrays
+        this large go back to the OS, and fresh ones would fault in again.
+        """
+        m, N = self.m, self.N
+        ka, kb = self.k[:, None], self.k[None, :]
+        ia, ib, ja, jb = self.i[:, None], self.i[None, :], self.j[:, None], self.j[None, :]
+
+        def flat(d, p, q, r, s):
+            return (((p * m + q) * m + r) * m + s) * N + d % N
+
+        idx = (flat(ka + kb, ja, ib, jb, ia), flat(ka - kb, ja, jb, ib, ia),
+               flat(kb - ka, ia, ib, jb, ja), flat(-ka - kb, ia, jb, ib, ja))
+        weight = np.where(np.arange(self.dim) < m, 0.5, 1.0)
+        prod = np.empty((m, m, m, m, N // 2 + 1), dtype=complex)
+        lags = np.empty((m, m, m, m, N))
+        return idx, weight, prod, lags
+
     def hessian(self, psi_inv: np.ndarray) -> np.ndarray:
         """Hessian of -log det M(x) from the unique blocks P_l of M^{-1}.
 
@@ -170,11 +185,11 @@ class _BandCoords:
         all N frequencies is one irfft of the half-spectrum products; each
         H_ab gathers four of its entries at lags +-k_a +-k_b (mod N).
         """
+        idx, w, prod, lags = self._hessian_plan
         P = psi_inv.transpose(1, 2, 0)
-        prod = np.multiply(P[:, :, None, None, :], P[None, None, :, :, :], out=self._prod)
-        R = np.fft.irfft(prod, n=self.N, axis=-1, out=self._lags).reshape(-1)
+        np.multiply(P[:, :, None, None, :], P[None, None, :, :, :], out=prod)
+        R = np.fft.irfft(prod, n=self.N, axis=-1, out=lags).reshape(-1)
         R *= self.N
-        idx, w = self.hess_idx, self.hess_weight
         return w[:, None] * (R[idx[0]] + R[idx[1]] + R[idx[2]] + R[idx[3]]) * w
 
 
@@ -195,6 +210,21 @@ def _lag_blocks_of_inverse(coords: _BandCoords, psi_inv_unique: np.ndarray) -> n
     col = np.fft.irfft(psi_inv_unique, n=coords.N, axis=0)
     k = np.arange(coords.n + 1)
     return 0.5 * (col[-k % coords.N] + col[k].swapaxes(1, 2))
+
+
+def _ar_precision_blocks(w: np.ndarray, V: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Lag blocks B_k = sum_j A_j^T Lambda^{-1} A_{j+k} of the band's AR model.
+
+    (w, V) is the eigendecomposition of T_n.  The last block column of
+    T_n^{-1}, in reversed block order, is X_j = A_j^T Lambda^{-1} for the
+    order-n forward AR model A_0 = I, A_1..A_n with innovation Lambda, so
+    A_j^T = X_j X_0^{-1} and B_k = sum_j A_j^T X_{j+k}^T.  The banded
+    circulant with these blocks is A(z)^* Lambda^{-1} A(z) sampled on Z_N.
+    """
+    X = ((V / w) @ V[-m:].T).reshape(n + 1, m, m)[::-1]
+    AT = X @ np.linalg.inv(X[0])
+    return np.array([np.einsum("jab,jcb->ac", AT[:n + 1 - k], X[k:])
+                     for k in range(n + 1)])
 
 
 def _block_norm(blocks: np.ndarray) -> float:
@@ -266,7 +296,9 @@ def solve(band: CovBand, N: int, cfg: SolverConfig | None = None,
 
     Returns the extension Sigma_opt (positive definite, band equal to the
     data, inverse banded of bandwidth n by construction), the reciprocal
-    model M = Sigma_opt^{-1}, and the iteration diagnostics.
+    model M = Sigma_opt^{-1}, and the iteration diagnostics.  Newton
+    starts at init, or else at the band's AR model, lifted on M_0 where
+    its spectrum comes within START_MARGIN guard tolerances of singular.
     """
     from .reciprocal import ReciprocalModel
 
@@ -279,7 +311,10 @@ def solve(band: CovBand, N: int, cfg: SolverConfig | None = None,
         raise DimensionError(
             f"band dimension m(m+1)/2 + n m^2 = {dim} exceeds the Newton limit "
             f"{HESSIAN_DIM_LIMIT}")
-    if not is_strictly_positive(band):
+    # is_strictly_positive's rule; the eigenvectors give the AR start
+    T = toeplitz_gram(band)
+    gram_w, gram_V = np.linalg.eigh(0.5 * (T + T.T))
+    if float(gram_w[0]) <= pd_tolerance(float(np.abs(gram_w).max())):
         raise InfeasibleBandError("infeasible band: T_n is not positive definite")
 
     # normalize to unit lag-0 scale; the problem is exactly scale-equivariant
@@ -293,9 +328,7 @@ def solve(band: CovBand, N: int, cfg: SolverConfig | None = None,
     lag_scale = 1.0 + np.linalg.norm(wband.sigma, axis=(1, 2))
 
     if init is None:
-        blocks0 = np.zeros((n + 1, m, m))
-        blocks0[0] = 0.5 * np.linalg.inv(wband.sigma[0])
-        blocks0[0] = 0.5 * (blocks0[0] + blocks0[0].T)
+        blocks0 = scale * _ar_precision_blocks(gram_w, gram_V, m, n)
     else:
         if init.m != m or init.n != n or init.N != N:
             raise DimensionError("initial model dimensions differ")
@@ -304,6 +337,14 @@ def solve(band: CovBand, N: int, cfg: SolverConfig | None = None,
 
     psi = coords.psi_of(x)
     w, lo, tol = _eig_floor(psi, cfg.pd_guard)
+    # the AR precision's condition number is about cond(T_n)^2, so on
+    # strongly correlated bands it can sit at the PD guard; Newton then
+    # stalls there, so lift M_0 until the start is well inside the cone
+    lift = START_MARGIN * tol - lo
+    if init is None and lift > 0.0:
+        x[:m] += lift
+        psi = psi + lift * np.eye(m)
+        w, lo, tol = _eig_floor(psi, cfg.pd_guard)
     if lo <= tol:
         raise NotPositiveDefiniteError("initial dual variable is not PD")
     f = float(p @ x) - _logdet_from_eigs(w, coords.mult)
@@ -338,8 +379,9 @@ def solve(band: CovBand, N: int, cfg: SolverConfig | None = None,
 
         s_psi = coords.psi_of(s)
         gs = float(g @ s)
-        # below this, objective comparisons drown in rounding noise
-        noise_floor = 1e-14 * (1.0 + abs(f))
+        # below this, objective comparisons drown in rounding noise; f = p.x -
+        # log det M cancels, so the noise scales with the terms, not with f
+        noise_floor = 1e-14 * (1.0 + abs(f) + float(np.abs(p) @ np.abs(x)))
         endgame = -gs <= noise_floor
         t = 1.0
         while True:

@@ -288,6 +288,19 @@ class TestCovBand:
         assert np.array_equal(T, dense_toeplitz_oracle(band.sigma, 3))
         assert np.abs(T - T.T).max() == 0.0
 
+    @pytest.mark.parametrize("m,n", [(1, 0), (1, 3), (2, 0), (2, 2), (3, 1), (3, 4)])
+    def test_toeplitz_gram_matches_oracle_on_asymmetric_lags(self, m, n):
+        from conftest import dense_toeplitz_oracle
+        rng = np.random.default_rng(2 + 10 * m + n)
+        # asymmetric lags k >= 1, so a transposed block cannot pass
+        sigma = rng.standard_normal((n + 1, m, m))
+        sigma[0] = sigma[0] + sigma[0].T
+        band = cm.CovBand(m, n, sigma)
+        for order in range(n + 1):
+            T = cm.toeplitz_gram(band, order)
+            assert np.array_equal(T, dense_toeplitz_oracle(sigma, order + 1))
+        assert np.abs(T - T.T).max() == 0.0
+
 
 class TestJson:
     def test_band_round_trip(self):

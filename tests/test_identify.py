@@ -180,6 +180,15 @@ class TestIdentify:
         with pytest.raises(cm.DegenerateDataError):
             cm.identify(data, 2)
 
+    def test_near_tolerance_data(self):
+        # every sample lag of constant data is 1, so T_1 has eigenvalues ridge
+        # and 2 + ridge; the positivity rule needs ridge > 1e-10 (3 + ridge)
+        data = cm.Dataset(1, 8, 1, np.ones((1, 8, 1)))
+        with pytest.raises(cm.DegenerateDataError):
+            cm.identify(data, 1, ridge=2.9e-10)
+        with pytest.raises(cm.InfeasibleExtensionError):
+            cm.identify(data, 1, ridge=3.1e-10)
+
     def test_ridge_rescues_degenerate_data(self):
         data = cm.Dataset(1, 8, 1, np.zeros((1, 8, 1)))
         res = cm.identify(data, 1, ridge=0.5)

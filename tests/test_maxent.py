@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,7 +63,10 @@ class TestBandCoords:
         coords = _BandCoords(m, n, N)
         P1, P2 = (np.linalg.inv(coords.psi_of(coords.vec_of(M.M_blocks)))
                   for M in (random_model(rng, m, n, N), random_model(rng, m, n, N)))
+        # the gather indices and work arrays are built by the first hessian call
+        assert "_hessian_plan" not in vars(coords)
         H1 = coords.hessian(P1)
+        assert "_hessian_plan" in vars(coords)
         kept = H1.copy()
         H2 = coords.hessian(P2)
         assert H2 is not H1 and np.array_equal(H1, kept)
@@ -300,6 +304,111 @@ class TestSolve:
         center = result.sigma_opt.first_col[5]
         assert np.abs(center - center.T).max() == 0.0
         assert result.diagnostics.converged
+
+
+def var1_band(A, n):
+    """Exact lags 0..n of the VAR(1) process y(t) = A y(t-1) + e(t), E e e^T = I."""
+    m = len(A)
+    S0 = np.linalg.solve(np.eye(m * m) - np.kron(A, A), np.eye(m).ravel()).reshape(m, m)
+    sigma = [0.5 * (S0 + S0.T)]
+    for _ in range(n):
+        sigma.append(A @ sigma[-1])
+    return cm.CovBand(m, n, np.array(sigma))
+
+
+class TestStart:
+    """Newton starts at the band's order-n AR model A(z)^* Lambda^{-1} A(z)."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_start_matches_levinson_oracle(self, m, n):
+        rng = np.random.default_rng(20 + 10 * m + n)
+        # a banded model's lags are not symmetric, so a transposed product or
+        # the first block column of T_n^{-1} gives other blocks
+        M = random_model(rng, m, n, 64)
+        band = cm.inverse(M.assembled()).band(n)
+        lev = cm.block_levinson(band)
+        A = np.concatenate([np.eye(m)[None], lev.ar_coeffs])
+        L_inv = np.linalg.inv(lev.innovation)
+        want = np.array([sum(A[j].T @ L_inv @ A[j + k] for j in range(n + 1 - k))
+                         for k in range(n + 1)])
+        T = cm.toeplitz_gram(band)
+        w, V = np.linalg.eigh(0.5 * (T + T.T))
+        got = maxent._ar_precision_blocks(w, V, m, n)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("N,iterations", [(32, 1), (256, 0)])
+    def test_iteration_count_pins_the_start(self, N, iterations):
+        # the band of a banded model differs from its AR model's only by
+        # aliasing, which decays with N; a wrong start takes 6-7 steps here
+        M = random_model(np.random.default_rng(1), 3, 2, 32)
+        M = cm.ReciprocalModel(3, 2, N, M.M_blocks)
+        band = cm.inverse(M.assembled()).band(2)
+        result = cm.solve(band, N)
+        assert result.diagnostics.iterations == iterations
+        assert np.abs(result.model.M_blocks - M.M_blocks).max() <= 1e-9
+
+    def test_zero_step_solve_builds_no_hessian(self):
+        m, n, N = 6, 27, 256
+        rng = np.random.default_rng(0)
+        B = 0.3 * rng.standard_normal((n + 1, m, m)) * 0.5 ** np.arange(n + 1)[:, None, None]
+        B[0] = 0.5 * (B[0] + B[0].T) + 2.0 * np.eye(m)
+        M = cm.ReciprocalModel(m, n, N, B)
+        band = cm.inverse(M.assembled()).band(n)
+        dim = maxent._band_dim(m, n)
+        assert dim > 900
+        tracemalloc.start()
+        try:
+            result = cm.solve(band, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.diagnostics.iterations == 0
+        # the four dim x dim int64 gather indices alone would take 4 * 8 * dim^2 bytes
+        assert peak < 4 * 8 * dim * dim
+
+    @pytest.mark.parametrize("N", [4, 32, 128])
+    @pytest.mark.parametrize("rho", [1 - 1e-5, -(1 - 1e-6)])
+    def test_strongly_correlated_scalar_band_converges(self, rho, N):
+        # cond(T_n) ~ 1e6, so the AR precision's sampled spectrum spans more
+        # than the PD guard allows; the start must still be usable
+        band = cm.CovBand(1, 1, blocks(1.0, rho))
+        result = cm.solve(band, N)
+        assert result.diagnostics.converged
+        assert np.abs(result.sigma_opt.lag(1) - rho).max() <= 1e-8
+
+    @pytest.mark.parametrize("m,n", [(2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_near_unit_root_var_band_converges(self, m, n):
+        # optimum near the PD guard: the endgame must see through the
+        # rounding of the cancelling terms of the objective
+        c, s = np.cos(0.3), np.sin(0.3)
+        Q = np.eye(m)
+        Q[:2, :2] = [[c, -s], [s, c]]
+        A = Q @ np.diag([1.0, 0.5, -0.3][:m]) @ Q.T
+        A[0, -1] += 0.2
+        A *= (1 - 1e-6) / np.abs(np.linalg.eigvals(A)).max()
+        band = var1_band(A, n)
+        for N in (16, 32, 128):
+            result = cm.solve(band, N)
+            for k in range(n + 1):
+                err = np.abs(result.sigma_opt.lag(k) - band.sigma[k]).max()
+                assert err <= 1e-8 * np.abs(band.sigma[0]).max()
+
+    @pytest.mark.parametrize("rho", [1.0, -1.0])
+    def test_near_tolerance_bands(self, rho):
+        # T_1 has eigenvalues 1 -+ |r|; the positivity rule needs 1 - |r| > 3e-10
+        outside = cm.CovBand(1, 1, blocks(1.0, rho * (1 - 2.9e-10)))
+        assert not cm.is_strictly_positive(outside)
+        with pytest.raises(cm.InfeasibleBandError):
+            cm.solve(outside, 8)
+        inside = cm.CovBand(1, 1, blocks(1.0, rho * (1 - 3.1e-10)))
+        assert cm.is_strictly_positive(inside)
+        with pytest.raises(cm.InfeasibleExtensionError) as err:
+            cm.solve(inside, 8)
+        cert = err.value.certificate
+        assert cert["wrap_feasible"] is False
+        assert cert["smallest_feasible_N"] is None
+        assert len(cert["min_eig_trace"]) == 46
 
 
 class TestEntropy:
