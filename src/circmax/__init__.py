@@ -14,7 +14,7 @@ from .blockcirc import (BlockCirculant, CovBand, SpectralForm,
                         dft_block_diagonalize, fourier_matrix, idft_reconstruct,
                         inverse, is_positive_definite, is_strictly_positive,
                         logdet, project_circulant, shift_matrix, spectral_bounds,
-                        toeplitz_gram, unique_frequencies)
+                        toeplitz_gram)
 from .errors import (CircmaxError, ConvergenceError, DegenerateDataError,
                      DegenerateProcessError, DimensionError,
                      HorizonExhaustedError, InfeasibleBandError,
@@ -26,8 +26,8 @@ from .feasibility import (FeasibilityCertificate, LevinsonResult, ar_extend,
                           find_feasible_N, wrap_sequence)
 from .identify import (IdentifyResult, SufficientStats, identify,
                        log_likelihood, sufficient_statistics)
-from .maxent import (DualState, ExtensionResult, SolveDiagnostics, SolverConfig,
-                     dual_gradient, dual_objective, entropy, solve)
+from .maxent import (ExtensionResult, SolveDiagnostics, SolverConfig, dual_gradient,
+                     dual_objective, entropy, solve)
 from .reciprocal import (ConjugateStats, Dataset, ModelResidualReport,
                          ReciprocalModel, YuleWalkerSystem,
                          build_yule_walker_system, covariance_of_model,

@@ -201,11 +201,6 @@ def _multiplicities(N: int) -> np.ndarray:
     return mult
 
 
-def unique_frequencies(N: int):
-    """Indices 0..floor(N/2) with conjugate multiplicities (1 or 2)."""
-    return [(l, int(mu)) for l, mu in enumerate(_multiplicities(N))]
-
-
 def dft_block_diagonalize(C: BlockCirculant) -> SpectralForm:
     """Frequency blocks Psi_l = sum_k c_k exp(-2j pi l k / N).
 

@@ -27,13 +27,18 @@ indices, reused by every later step; a solve that converges at its start
 allocates none of them.  Each step costs O(N log N m^4 + dim^3).  solve
 rejects dim > HESSIAN_DIM_LIMIT with DimensionError before allocating
 anything.
+
+The band coordinates depend only on (m, n, N): an LRU cache keyed by
+(m, n, N) keeps them read-only for COORD_CACHE_SIZE = 64 shapes, 48 dim
+bytes each and 6.1 MB at most; the Hessian plan stays per solve.  Like
+any LRU cache, it misses every time on a cycle of more than 64 shapes.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,6 +55,7 @@ from .feasibility import (ar_extend, block_levinson, feasibility_certificate,
 HESSIAN_DIM_LIMIT = 2000
 COLLAPSE_STEP = 1e-14
 START_MARGIN = 1e4  # the start's smallest eigenvalue, in PD guard tolerances
+COORD_CACHE_SIZE = 64  # (m, n, N) shapes whose band coordinates are kept
 
 
 @dataclass(frozen=True)
@@ -68,23 +74,12 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class DualState:
-    """Snapshot of the dual iteration."""
-
-    M: "object"          # ReciprocalModel
-    objective: float
-    grad_norm: float
-    iteration: int
-
-
-@dataclass(frozen=True)
 class SolveDiagnostics:
     iterations: int
     objective_trace: list
     grad_norm: float
     band_match: float
     converged: bool
-    final_state: DualState | None = field(default=None, repr=False)
 
     def to_json_dict(self) -> dict:
         return {"iterations": self.iterations,
@@ -109,6 +104,23 @@ def _band_dim(m: int, n: int) -> int:
     return m * (m + 1) // 2 + n * m * m
 
 
+@functools.lru_cache(maxsize=COORD_CACHE_SIZE)
+def _coordinate_arrays(m: int, n: int, N: int):
+    """Read-only (k, i, j, pos, pair_weight) of _BandCoords: 6 dim numbers, none O(N)."""
+    # the coordinate order sets how each Newton solve rounds, so it stays fixed
+    iu = np.triu_indices(m, 1)
+    rest = np.indices((n, m, m)).reshape(3, -1)
+    k = np.r_[np.zeros(m * (m + 1) // 2, dtype=int), rest[0] + 1]
+    i = np.r_[np.arange(m), iu[0], rest[1]]
+    j = np.r_[np.arange(m), iu[1], rest[2]]
+    pos = np.array([(k * m + j) * m + i, ((-k % N) * m + i) * m + j])
+    # the pairing counts an off-diagonal M_0 entry and every M_k, k >= 1, twice
+    pair_weight = N * np.where(np.arange(len(k)) < m, 1.0, 2.0)
+    for a in (k, i, j, pos, pair_weight):
+        a.flags.writeable = False
+    return k, i, j, pos, pair_weight
+
+
 class _BandCoords:
     """Coordinates on symmetric banded circulants of bandwidth n on Z_N.
 
@@ -122,17 +134,8 @@ class _BandCoords:
         self.m, self.n, self.N = m, n, N
         self.dim = _band_dim(m, n)
         self.mult = _multiplicities(N)
-        # the coordinate order sets how each Newton solve rounds, so it stays fixed
-        iu = np.triu_indices(m, 1)
         self.n0 = m * (m + 1) // 2
-        rest = np.indices((n, m, m)).reshape(3, -1)
-        k = np.r_[np.zeros(self.n0, dtype=int), rest[0] + 1]
-        i = np.r_[np.arange(m), iu[0], rest[1]]
-        j = np.r_[np.arange(m), iu[1], rest[2]]
-        self.k, self.i, self.j = k, i, j
-        self.pos = np.array([(k * m + j) * m + i, ((-k % N) * m + i) * m + j])
-        # the pairing counts an off-diagonal M_0 entry and every M_k, k >= 1, twice
-        self.pair_weight = N * np.where(np.arange(self.dim) < m, 1.0, 2.0)
+        self.k, self.i, self.j, self.pos, self.pair_weight = _coordinate_arrays(m, n, N)
 
     def blocks_of(self, x: np.ndarray) -> np.ndarray:
         B = np.zeros((self.n + 1, self.m, self.m))
@@ -364,8 +367,7 @@ def solve(band: CovBand, N: int, cfg: SolverConfig | None = None,
         if grad_norm_rel <= cfg.grad_tol and band_match <= 10.0 * cfg.grad_tol:
             model = ReciprocalModel(m, n, N, coords.blocks_of(x) / scale)
             sigma_opt = _from_half_spectrum(m, N, scale * psi_inv)
-            state = DualState(model, f + f_shift, grad_norm_rel, it - 1)
-            diag = SolveDiagnostics(it - 1, trace, grad_norm_rel, band_match, True, state)
+            diag = SolveDiagnostics(it - 1, trace, grad_norm_rel, band_match, True)
             return ExtensionResult(sigma_opt, model, diag)
 
         H = coords.hessian(psi_inv)
@@ -408,8 +410,7 @@ def solve(band: CovBand, N: int, cfg: SolverConfig | None = None,
         f = f_t
         trace.append(f + f_shift)
 
-    state = DualState(None, f + f_shift, grad_norm_rel, len(trace) - 1)
-    diag = SolveDiagnostics(len(trace) - 1, trace, grad_norm_rel, band_match, False, state)
+    diag = SolveDiagnostics(len(trace) - 1, trace, grad_norm_rel, band_match, False)
     report = _infeasibility_report(band, N)
     if not report.get("wrap_feasible", False):
         raise InfeasibleExtensionError(

@@ -72,6 +72,39 @@ class TestBandCoords:
         assert H2 is not H1 and np.array_equal(H1, kept)
         assert np.array_equal(H2, _BandCoords(m, n, N).hessian(P2))
 
+    def test_same_shape_shares_read_only_coordinates_not_work_arrays(self):
+        m, n, N = 2, 2, 7
+        a, b = _BandCoords(m, n, N), _BandCoords(m, n, N)
+        for name in ("k", "i", "j", "pos", "pair_weight"):
+            assert getattr(a, name) is getattr(b, name)
+            with pytest.raises(ValueError):
+                getattr(a, name)[0] = 1
+        M = random_model(np.random.default_rng(5), m, n, N)
+        P = np.linalg.inv(a.psi_of(a.vec_of(M.M_blocks)))
+        assert np.array_equal(a.hessian(P), b.hessian(P))
+        plan_a, plan_b = ([*c._hessian_plan[0], *c._hessian_plan[1:]] for c in (a, b))
+        assert not any(np.shares_memory(x, y) for x in plan_a for y in plan_b)
+
+    def test_coordinate_cache_stays_within_its_size(self):
+        band = cm.CovBand(1, 1, blocks(1.0, 0.5))
+        size = maxent.COORD_CACHE_SIZE
+        for N in range(3, 3 + size + 10):
+            cm.solve(band, N)
+        info = maxent._coordinate_arrays.cache_info()
+        assert info.maxsize == size and info.currsize == size
+
+    def test_cold_and_warm_cache_solve_bit_identically(self):
+        m, n, N = 2, 2, 6
+        M = random_model(np.random.default_rng(6), m, n, N)
+        band = cm.inverse(M.assembled()).band(n)
+        maxent._coordinate_arrays.cache_clear()
+        cold = cm.solve(band, N)
+        warm = cm.solve(band, N)
+        assert maxent._coordinate_arrays.cache_info().hits >= 1
+        assert cold.diagnostics.iterations == warm.diagnostics.iterations > 0
+        assert np.array_equal(cold.model.M_blocks, warm.model.M_blocks)
+        assert np.array_equal(cold.sigma_opt.first_col, warm.sigma_opt.first_col)
+
 
 class TestDualObjective:
     def test_identity_value(self):
