@@ -4,9 +4,16 @@ Output is compact (no indentation, no spaces after separators), which
 keeps CPython on its C encoder.  Floats are written as their shortest
 round-trip repr, so 64-bit values survive a write/read round trip
 bit-exactly; non-finite floats raise ValueError.
+
+A stack of blocks is stored as one flat row per block: ``rows_of`` writes
+it and ``blocks_of`` reads it back.
 """
 
 import json
+
+import numpy as np
+
+from .errors import DimensionError
 
 
 def dumps(obj) -> str:
@@ -22,3 +29,19 @@ def dump(obj, path) -> None:
 def load(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def rows_of(blocks: np.ndarray) -> list:
+    """Each block of a stack as one flat list of floats."""
+    return blocks.reshape(len(blocks), -1).tolist()
+
+
+def blocks_of(rows, count: int, shape: tuple, what: str) -> np.ndarray:
+    """Stack of count blocks of the given shape from rows_of's lists.
+
+    A wrong number of rows raises DimensionError; a ragged row or one of
+    the wrong length raises ValueError.
+    """
+    if len(rows) != count:
+        raise DimensionError(f"expected {count} {what}, got {len(rows)}")
+    return np.asarray(rows, dtype=float).reshape(count, *shape)

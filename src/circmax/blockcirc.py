@@ -6,6 +6,14 @@ carries block c_k at every position (i, (i+k) mod N).  For covariance
 data the sequence is (S_0, S_1^T, ..., S_n^T, 0, ..., 0, S_n, ..., S_1),
 so that the assembled matrix has lag blocks S_k = E y(t+k) y(t)^T.
 
+This module is the single owner of that layout: ``_sequence`` writes the
+generating sequence of lags S_0..S_L on Z_N, ``_lags`` reads symmetrized
+lags S_0..S_n back off one, and ``_two_sided`` stacks S_{-L}..S_L with
+S_{-k} = S_k^T for block-Toeplitz work.  Other modules go through them or
+the public functions built on them.  The one exception is maxent's band
+coordinates, which scatter into the sequence at fixed flat positions
+because their order sets how each Newton solve rounds.
+
 All frequency-domain work uses the convention
 
     Psi_l = sum_k c_k exp(-2j*pi*l*k/N),
@@ -23,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _jsonio
 from .errors import DimensionError, NotPositiveDefiniteError, ReconstructionError
 
 PD_TOL_FACTOR = 1e-10  # lambda_min must exceed PD_TOL_FACTOR * (1 + max spectral norm)
@@ -36,6 +45,32 @@ def _as_blocks(blocks, m, count, name):
     a = a.copy()
     a.flags.writeable = False
     return a
+
+
+def _sequence(lags: np.ndarray, N: int) -> np.ndarray:
+    """Generating sequence (S_0, S_1^T, ..., S_L^T, 0, ..., 0, S_L, ..., S_1) on Z_N.
+
+    Needs 2L <= N.  When 2L = N the two copies of lag L share the
+    self-transpose centre slot, which then holds S_L^T + S_L.
+    """
+    L = len(lags) - 1
+    col = np.zeros((N,) + lags.shape[1:])
+    col[0] = lags[0]
+    col[1:L + 1] = lags[1:].swapaxes(1, 2)
+    col[N - L:] = lags[:0:-1]
+    col[N - L:L + 1] += lags[N - L:L + 1].swapaxes(1, 2)  # the centre; empty unless 2L = N
+    return col
+
+
+def _lags(col: np.ndarray, n: int) -> np.ndarray:
+    """Lags S_0..S_n of a generating sequence, symmetrized as 0.5 (c_{-k} + c_k^T)."""
+    k = np.arange(n + 1)
+    return 0.5 * (col[-k % len(col)] + col[k].swapaxes(1, 2))
+
+
+def _two_sided(lags: np.ndarray) -> np.ndarray:
+    """Stack S_{-L}..S_L of lags S_0..S_L, S_{-k} = S_k^T: entry L + d is S_d."""
+    return np.concatenate([lags[:0:-1].swapaxes(1, 2), lags])
 
 
 @dataclass(frozen=True)
@@ -64,16 +99,12 @@ class CovBand:
         return CovBand(self.m, self.n, c * np.asarray(self.sigma))
 
     def to_json_dict(self) -> dict:
-        return {"m": self.m, "n": self.n,
-                "sigma": [b.reshape(-1).tolist() for b in self.sigma]}
+        return {"m": self.m, "n": self.n, "sigma": _jsonio.rows_of(self.sigma)}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CovBand":
         m, n = int(d["m"]), int(d["n"])
-        sigma = np.array([np.reshape(b, (m, m)) for b in d["sigma"]], dtype=float)
-        if len(sigma) != n + 1:
-            raise DimensionError(f"expected {n + 1} sigma blocks, got {len(sigma)}")
-        return cls(m, n, sigma)
+        return cls(m, n, _jsonio.blocks_of(d["sigma"], n + 1, (m, m), "sigma blocks"))
 
 
 @dataclass(frozen=True)
@@ -93,18 +124,14 @@ class BlockCirculant:
     def is_symmetric(self, tol: float = 1e-12) -> bool:
         c = self.first_col
         scale = 1.0 + np.abs(c).max()
-        defect = max(np.abs(c[k] - c[(self.N - k) % self.N].T).max() for k in range(self.N))
+        defect = np.abs(c - c[-np.arange(self.N) % self.N].swapaxes(1, 2)).max()
         return defect <= tol * scale
 
     def to_dense(self) -> np.ndarray:
         m, N = self.m, self.N
-        D = np.zeros((N * m, N * m))
-        for k in range(N):
-            blk = self.first_col[k]
-            for i in range(N):
-                j = (i + k) % N
-                D[i * m:(i + 1) * m, j * m:(j + 1) * m] = blk
-        return D
+        i, j = np.ogrid[:N, :N]
+        blocks = self.first_col[(j - i) % N]  # block (i, j) is c_{(j-i) mod N}
+        return blocks.transpose(0, 2, 1, 3).reshape(N * m, N * m)
 
     def lag(self, k: int) -> np.ndarray:
         """Block S_k of the assembled matrix at positions (t+k, t)."""
@@ -114,7 +141,7 @@ class BlockCirculant:
         """Extract lags 0..n as a CovBand."""
         if 2 * n >= self.N:
             raise DimensionError(f"band order {n} too wide for N={self.N}")
-        return CovBand(self.m, n, np.array([self.lag(k) for k in range(n + 1)]))
+        return CovBand(self.m, n, self.first_col[-np.arange(n + 1) % self.N])
 
     def norm(self) -> float:
         """Frobenius norm of the assembled dense matrix."""
@@ -128,16 +155,12 @@ class BlockCirculant:
         return np.fft.fft(yh, axis=-2).real
 
     def to_json_dict(self) -> dict:
-        return {"m": self.m, "N": self.N,
-                "first_col": [b.reshape(-1).tolist() for b in self.first_col]}
+        return {"m": self.m, "N": self.N, "first_col": _jsonio.rows_of(self.first_col)}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "BlockCirculant":
         m, N = int(d["m"]), int(d["N"])
-        col = np.array([np.reshape(b, (m, m)) for b in d["first_col"]], dtype=float)
-        if len(col) != N:
-            raise DimensionError(f"expected {N} first_col blocks, got {len(col)}")
-        return cls(m, N, col)
+        return cls(m, N, _jsonio.blocks_of(d["first_col"], N, (m, m), "first_col blocks"))
 
 
 @dataclass(frozen=True)
@@ -177,14 +200,9 @@ def assemble_circulant(band: CovBand, N: int) -> BlockCirculant:
     The generating sequence is (S_0, S_1^T, ..., S_n^T, 0, ..., 0,
     S_n, ..., S_1).  Positivity is not guaranteed.
     """
-    n, m = band.n, band.m
-    if N < 2 * n + 1:
-        raise DimensionError(f"N={N} < 2n+1={2 * n + 1}: band blocks would collide")
-    col = np.zeros((N, m, m))
-    col[0] = band.sigma[0]
-    col[1:n + 1] = band.sigma[1:].swapaxes(1, 2)
-    col[N - n:] = band.sigma[:0:-1]
-    return BlockCirculant(m, N, col)
+    if N < 2 * band.n + 1:
+        raise DimensionError(f"N={N} < 2n+1={2 * band.n + 1}: band blocks would collide")
+    return BlockCirculant(band.m, N, _sequence(band.sigma, N))
 
 
 def assemble_banded(m: int, N: int, blocks: np.ndarray) -> BlockCirculant:
@@ -292,14 +310,9 @@ def project_circulant(M: np.ndarray, m: int) -> BlockCirculant:
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % m:
         raise DimensionError(f"matrix of shape {M.shape} is not square with block size {m}")
     N = M.shape[0] // m
-    col = np.zeros((N, m, m))
-    for k in range(N):
-        acc = np.zeros((m, m))
-        for i in range(N):
-            j = (i + k) % N
-            acc += M[i * m:(i + 1) * m, j * m:(j + 1) * m]
-        col[k] = acc / N
-    return BlockCirculant(m, N, col)
+    blocks = M.reshape(N, m, N, m).transpose(0, 2, 1, 3)
+    i, k = np.ogrid[:N, :N]
+    return BlockCirculant(m, N, blocks[i, (i + k) % N].sum(axis=0) / N)
 
 
 def band_residual(C: BlockCirculant, n: int) -> float:
@@ -325,10 +338,8 @@ def toeplitz_gram(band: CovBand, order: int | None = None) -> np.ndarray:
     if n > band.n:
         raise DimensionError(f"order {n} exceeds available lags {band.n}")
     m = band.m
-    # lags[n + d] = S_d for d = -n..n
-    lags = np.concatenate([band.sigma[n:0:-1].swapaxes(1, 2), band.sigma[:n + 1]])
     i = np.arange(n + 1)
-    blocks = lags[i[:, None] - i[None, :] + n]
+    blocks = _two_sided(band.sigma[:n + 1])[i[:, None] - i[None, :] + n]
     return blocks.transpose(0, 2, 1, 3).reshape((n + 1) * m, (n + 1) * m)
 
 

@@ -50,6 +50,23 @@ def _write_outputs(out_dir, **files):
         _jsonio.dump(doc, os.path.join(out_dir, name + ".json"))
 
 
+def _write_failure(command, out_dir, exc) -> int:
+    """Write diagnostics.json for a failed solve, report it and return EXIT_INFEASIBLE.
+
+    The document holds the error and any certificate and diagnostics it carries.
+    """
+    doc = {"error": str(exc)}
+    cert = getattr(exc, "certificate", None)
+    if cert is not None:
+        doc["certificate"] = cert
+    diag = getattr(exc, "diagnostics", None)
+    if diag is not None:
+        doc["diagnostics"] = diag.to_json_dict()
+    _write_outputs(out_dir, diagnostics=doc)
+    print(f"{command}: {exc}", file=sys.stderr)
+    return EXIT_INFEASIBLE
+
+
 def _solver_config(args) -> SolverConfig:
     kwargs = {}
     if getattr(args, "tol", None) is not None:
@@ -65,16 +82,7 @@ def _cmd_extend(args) -> int:
     try:
         result = solve(band, args.N, cfg)
     except (InfeasibleBandError, InfeasibleExtensionError, ConvergenceError) as exc:
-        doc = {"error": str(exc)}
-        cert = getattr(exc, "certificate", None)
-        if cert is not None:
-            doc["certificate"] = cert
-        diag = getattr(exc, "diagnostics", None)
-        if diag is not None:
-            doc["diagnostics"] = diag.to_json_dict()
-        _write_outputs(args.out, diagnostics=doc)
-        print(f"extend: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        return _write_failure("extend", args.out, exc)
     _write_outputs(args.out,
                    sigma_opt=result.sigma_opt.to_json_dict(),
                    model=result.model.to_json_dict(),
@@ -90,16 +98,7 @@ def _cmd_identify(args) -> int:
                           extend_N=args.extend_N)
     except (DegenerateDataError, InfeasibleBandError, InfeasibleExtensionError,
             ConvergenceError) as exc:
-        doc = {"error": str(exc)}
-        cert = getattr(exc, "certificate", None)
-        if cert is not None:
-            doc["certificate"] = cert
-        diag = getattr(exc, "diagnostics", None)
-        if diag is not None:
-            doc["diagnostics"] = diag.to_json_dict()
-        _write_outputs(args.out, diagnostics=doc)
-        print(f"identify: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        return _write_failure("identify", args.out, exc)
     diag = result.diagnostics.to_json_dict()
     diag["log_likelihood"] = result.log_likelihood
     _write_outputs(args.out,

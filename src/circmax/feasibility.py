@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockcirc import (BlockCirculant, CovBand, pd_tolerance, spectral_bounds)
+from .blockcirc import (BlockCirculant, CovBand, _sequence, pd_tolerance,
+                        spectral_bounds)
 from .errors import DimensionError, HorizonExhaustedError, InfeasibleBandError
 
 DEFAULT_HORIZON_FACTOR = 16  # default N_max = 16 * (2n + 1)
@@ -56,17 +57,13 @@ def block_levinson(band: CovBand) -> LevinsonResult:
     """
     m, n = band.m, band.n
     sigma = band.sigma
-
-    def R(k: int) -> np.ndarray:
-        return sigma[k] if k >= 0 else sigma[-k].T
-
     _check_pd(sigma[0], "lag-0 block")
     lam_f = sigma[0].copy()
     lam_b = sigma[0].copy()
     A: list[np.ndarray] = []
     B: list[np.ndarray] = []
     for p in range(n):
-        delta = R(p + 1) + sum(A[j] @ R(p - j) for j in range(p))
+        delta = sigma[p + 1] + sum(A[j] @ sigma[p - j] for j in range(p))
         kf = -np.linalg.solve(lam_b.T, delta.T).T   # kf = -delta @ inv(lam_b)
         kb = -np.linalg.solve(lam_f.T, delta).T     # kb = -delta.T @ inv(lam_f)
         A, B = ([A[j] + kf @ B[p - 1 - j] for j in range(p)] + [kf],
@@ -92,17 +89,10 @@ def ar_extend(lev: LevinsonResult, band: CovBand, count: int) -> np.ndarray:
     if count < 0:
         raise DimensionError("count must be non-negative")
     lags = list(band.sigma)
-
-    def R(k: int) -> np.ndarray:
-        return lags[k] if k >= 0 else lags[-k].T
-
-    out = []
     for i in range(n + 1, n + count + 1):
-        s = -sum(lev.ar_coeffs[j - 1] @ R(i - j) for j in range(1, n + 1)) \
-            if n else np.zeros((m, m))
-        lags.append(s)
-        out.append(s)
-    return np.array(out).reshape(count, m, m)
+        lags.append(-sum(lev.ar_coeffs[j - 1] @ lags[i - j] for j in range(1, n + 1))
+                    if n else np.zeros((m, m)))
+    return np.array(lags[n + 1:]).reshape(count, m, m)
 
 
 def wrap_sequence(m: int, N: int, lags: np.ndarray) -> BlockCirculant:
@@ -114,15 +104,7 @@ def wrap_sequence(m: int, N: int, lags: np.ndarray) -> BlockCirculant:
     h = N // 2
     if len(lags) <= h:
         raise DimensionError(f"need lags up to {h} to wrap onto N={N}")
-    col = np.zeros((N, m, m))
-    col[0] = lags[0]
-    top = h if N % 2 else h - 1
-    for k in range(1, top + 1):
-        col[k] = lags[k].T
-        col[N - k] = lags[k]
-    if N % 2 == 0:
-        col[h] = lags[h].T + lags[h]
-    return BlockCirculant(m, N, col)
+    return BlockCirculant(m, N, _sequence(np.asarray(lags[:h + 1], dtype=float), N))
 
 
 def feasibility_certificate(band: CovBand, N_max: int | None = None) -> FeasibilityCertificate:

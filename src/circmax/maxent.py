@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockcirc import (BlockCirculant, CovBand, _from_half_spectrum,
-                        _hermitian_part, _multiplicities, assemble_banded,
+                        _hermitian_part, _lags, _multiplicities, assemble_banded,
                         inverse, logdet, pd_tolerance, spectral_bounds,
                         toeplitz_gram)
 from .errors import (ConvergenceError, DimensionError, HorizonExhaustedError,
@@ -64,10 +64,9 @@ class SolverConfig:
     max_iter: int = 200
     armijo_c: float = 1e-4
     backtrack_factor: float = 0.5
-    pd_guard: float = 1e-10
 
     def __post_init__(self):
-        if min(self.grad_tol, self.max_iter, self.armijo_c, self.pd_guard) <= 0:
+        if min(self.grad_tol, self.max_iter, self.armijo_c) <= 0:
             raise DimensionError("solver parameters must be positive")
         if not 0.0 < self.backtrack_factor < 1.0:
             raise DimensionError("backtrack_factor must lie in (0, 1)")
@@ -196,23 +195,14 @@ class _BandCoords:
         return w[:, None] * (R[idx[0]] + R[idx[1]] + R[idx[2]] + R[idx[3]]) * w
 
 
-def _eig_floor(psi_unique: np.ndarray, pd_guard: float):
-    """Batch eigenvalues of Hermitian parts; (eigs, min, tolerance)."""
+def _eig_floor(psi_unique: np.ndarray):
+    """Batch eigenvalues of Hermitian parts; (eigs, min, blockcirc's PD tolerance)."""
     w = np.linalg.eigvalsh(_hermitian_part(psi_unique))
-    lo = float(w[:, 0].min())
-    tol = pd_guard * (1.0 + float(np.abs(w).max()))
-    return w, lo, tol
+    return w, float(w[:, 0].min()), pd_tolerance(float(np.abs(w).max()))
 
 
 def _logdet_from_eigs(w: np.ndarray, mult: np.ndarray) -> float:
     return float((mult * np.log(w).sum(axis=1)).sum())
-
-
-def _lag_blocks_of_inverse(coords: _BandCoords, psi_inv_unique: np.ndarray) -> np.ndarray:
-    """Lag blocks 0..n of the inverse circulant from its unique spectrum."""
-    col = np.fft.irfft(psi_inv_unique, n=coords.N, axis=0)
-    k = np.arange(coords.n + 1)
-    return 0.5 * (col[-k % coords.N] + col[k].swapaxes(1, 2))
 
 
 def _ar_precision_blocks(w: np.ndarray, V: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -339,7 +329,7 @@ def solve(band: CovBand, N: int, cfg: SolverConfig | None = None,
     x = coords.vec_of(blocks0)
 
     psi = coords.psi_of(x)
-    w, lo, tol = _eig_floor(psi, cfg.pd_guard)
+    w, lo, tol = _eig_floor(psi)
     # the AR precision's condition number is about cond(T_n)^2, so on
     # strongly correlated bands it can sit at the PD guard; Newton then
     # stalls there, so lift M_0 until the start is well inside the cone
@@ -347,7 +337,7 @@ def solve(band: CovBand, N: int, cfg: SolverConfig | None = None,
     if init is None and lift > 0.0:
         x[:m] += lift
         psi = psi + lift * np.eye(m)
-        w, lo, tol = _eig_floor(psi, cfg.pd_guard)
+        w, lo, tol = _eig_floor(psi)
     if lo <= tol:
         raise NotPositiveDefiniteError("initial dual variable is not PD")
     f = float(p @ x) - _logdet_from_eigs(w, coords.mult)
@@ -359,8 +349,7 @@ def solve(band: CovBand, N: int, cfg: SolverConfig | None = None,
 
     for it in range(1, cfg.max_iter + 1):
         psi_inv = np.linalg.inv(psi)
-        G = _lag_blocks_of_inverse(coords, psi_inv)
-        gamma = np.asarray(wband.sigma) - G
+        gamma = np.asarray(wband.sigma) - _lags(np.fft.irfft(psi_inv, n=N, axis=0), n)
         g = coords.pair_vec(gamma)
         grad_norm_rel = _block_norm(gamma) / (1.0 + band_norm)
         band_match = float(np.max(np.linalg.norm(gamma, axis=(1, 2)) / lag_scale))
@@ -388,7 +377,7 @@ def solve(band: CovBand, N: int, cfg: SolverConfig | None = None,
         t = 1.0
         while True:
             trial_psi = psi + t * s_psi
-            w_t, lo_t, tol_t = _eig_floor(trial_psi, cfg.pd_guard)
+            w_t, lo_t, tol_t = _eig_floor(trial_psi)
             if lo_t > tol_t:
                 f_t = float(p @ (x + t * s)) - _logdet_from_eigs(w_t, coords.mult)
                 # quadratic endgame: sufficient-decrease test is meaningless

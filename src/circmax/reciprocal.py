@@ -13,8 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockcirc import (BlockCirculant, _hermitian_part, _multiplicities,
-                        assemble_banded, band_residual, inverse, pd_tolerance)
+from . import _jsonio
+from .blockcirc import (BlockCirculant, _hermitian_part, _lags, _multiplicities,
+                        _two_sided, assemble_banded, band_residual, inverse,
+                        pd_tolerance)
 # perfbench/tracer.py patches these two names in this module; keep them importable
 from .blockcirc import dft_block_diagonalize, is_positive_definite  # noqa: F401
 from .errors import (DegenerateProcessError, DimensionError, InvalidModelError,
@@ -51,16 +53,12 @@ class ReciprocalModel:
         return assemble_banded(self.m, self.N, self.M_blocks)
 
     def to_json_dict(self) -> dict:
-        return {"m": self.m, "n": self.n, "N": self.N,
-                "M": [b.reshape(-1).tolist() for b in self.M_blocks]}
+        return {"m": self.m, "n": self.n, "N": self.N, "M": _jsonio.rows_of(self.M_blocks)}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ReciprocalModel":
         m, n, N = int(d["m"]), int(d["n"]), int(d["N"])
-        blocks = np.array([np.reshape(b, (m, m)) for b in d["M"]], dtype=float)
-        if len(blocks) != n + 1:
-            raise DimensionError(f"expected {n + 1} M blocks, got {len(blocks)}")
-        return cls(m, n, N, blocks)
+        return cls(m, n, N, _jsonio.blocks_of(d["M"], n + 1, (m, m), "M blocks"))
 
 
 @dataclass(frozen=True)
@@ -107,13 +105,12 @@ class Dataset:
 
     def to_json_dict(self) -> dict:
         return {"m": self.m, "N": self.N, "T": self.T,
-                "realizations": [r.reshape(-1).tolist() for r in self.realizations]}
+                "realizations": _jsonio.rows_of(self.realizations)}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Dataset":
         m, N, T = int(d["m"]), int(d["N"]), int(d["T"])
-        reals = np.array([np.reshape(r, (N, m)) for r in d["realizations"]], dtype=float)
-        return cls(m, N, T, reals)
+        return cls(m, N, T, _jsonio.blocks_of(d["realizations"], T, (N, m), "realizations"))
 
 
 def build_yule_walker_system(lags: np.ndarray) -> YuleWalkerSystem:
@@ -125,19 +122,12 @@ def build_yule_walker_system(lags: np.ndarray) -> YuleWalkerSystem:
         raise DimensionError("need an odd number of lags S_0..S_2n")
     n = (len(lags) - 1) // 2
     m = lags.shape[1]
-
-    def R(k: int) -> np.ndarray:
-        return lags[k] if k >= 0 else lags[-k].T
-
-    # window offsets in the fixed order (-n, ..., -1, 1, ..., n)
-    offs = list(range(-n, 0)) + list(range(1, n + 1))
-    gram = np.zeros((2 * n * m, 2 * n * m))
-    rhs = np.zeros((2 * n * m, m))
-    for i, ki in enumerate(offs):
-        rhs[i * m:(i + 1) * m] = R(ki).T
-        for j, kj in enumerate(offs):
-            gram[i * m:(i + 1) * m, j * m:(j + 1) * m] = R(kj - ki)
-    return YuleWalkerSystem(m, n, gram, rhs)
+    # window offsets in the fixed order (-n, ..., -1, 1, ..., n); stack[2n + d] = S_d
+    offs = np.r_[-n:0, 1:n + 1]
+    stack = _two_sided(lags)
+    gram = stack[2 * n + offs[None, :] - offs[:, None]].transpose(0, 2, 1, 3)
+    rhs = stack[2 * n - offs]  # block i is S_{k_i}^T
+    return YuleWalkerSystem(m, n, gram.reshape(2 * n * m, 2 * n * m), rhs.reshape(2 * n * m, m))
 
 
 def yule_walker(lags: np.ndarray) -> tuple[np.ndarray, ConjugateStats]:
@@ -157,13 +147,9 @@ def yule_walker(lags: np.ndarray) -> tuple[np.ndarray, ConjugateStats]:
         raise DegenerateProcessError(
             "degenerate process: singular two-sided normal equations")
     X = np.linalg.solve(sys.gram, -sys.rhs)
-    F = np.array([X[i * m:(i + 1) * m].T for i in range(2 * n)])
-
-    def R(k: int) -> np.ndarray:
-        return lags[k] if k >= 0 else lags[-k].T
-
-    offs = list(range(-n, 0)) + list(range(1, n + 1))
-    delta = lags[0] + sum(F[i] @ R(-k) for i, k in enumerate(offs))
+    F = X.reshape(2 * n, m, m).swapaxes(1, 2)
+    # rhs block i is S_{-k_i}, the lag that F_{k_i} meets in E d(t) y(t)^T
+    delta = lags[0] + (F @ sys.rhs.reshape(2 * n, m, m)).sum(axis=0)
     return F, ConjugateStats(0.5 * (delta + delta.T))
 
 
@@ -195,11 +181,7 @@ def model_from_covariance(C: BlockCirculant, n: int,
         raise NotReciprocalError(
             f"not reciprocal of order {n}: off-band fraction {resid:.3e}",
             residual=resid)
-    blocks = np.empty((n + 1, C.m, C.m))
-    blocks[0] = 0.5 * (Minv.first_col[0] + Minv.first_col[0].T)
-    for k in range(1, n + 1):
-        blocks[k] = 0.5 * (Minv.lag(k) + Minv.first_col[k].T)
-    return ReciprocalModel(C.m, n, C.N, blocks)
+    return ReciprocalModel(C.m, n, C.N, _lags(Minv.first_col, n))
 
 
 @dataclass(frozen=True)

@@ -145,3 +145,109 @@ def bruteforce_scalar_extension(sigma, N, newton_iters=200):
             best_x, best_v = x, v
     assert best_x is not None, "oracle found no feasible start"
     return best_x
+
+
+# Loop forms of the lag-layout code, kept as oracles for the gather forms
+# in the library.  Each follows the lag semantics block by block.
+
+def legacy_to_dense(C):
+    """Dense matrix with block c_k at every position (i, (i+k) mod N)."""
+    m, N = C.m, C.N
+    D = np.zeros((N * m, N * m))
+    for k in range(N):
+        blk = C.first_col[k]
+        for i in range(N):
+            j = (i + k) % N
+            D[i * m:(i + 1) * m, j * m:(j + 1) * m] = blk
+    return D
+
+
+def legacy_is_symmetric(C, tol=1e-12):
+    c = C.first_col
+    scale = 1.0 + np.abs(c).max()
+    defect = max(np.abs(c[k] - c[(C.N - k) % C.N].T).max() for k in range(C.N))
+    return defect <= tol * scale
+
+
+def legacy_band(C, n):
+    """Lags S_0..S_n of a circulant: S_k = c_{(N-k) mod N}."""
+    return np.array([C.first_col[(C.N - k) % C.N] for k in range(n + 1)])
+
+
+def legacy_assemble_circulant(sigma, N):
+    """Generating sequence (S_0, S_1^T, ..., S_n^T, 0, ..., 0, S_n, ..., S_1)."""
+    n, m = len(sigma) - 1, sigma.shape[1]
+    col = np.zeros((N, m, m))
+    col[0] = sigma[0]
+    col[1:n + 1] = sigma[1:].swapaxes(1, 2)
+    col[N - n:] = sigma[:0:-1]
+    return col
+
+
+def legacy_wrap_sequence(m, N, lags):
+    """Wrap onto Z_N; even N puts S_{N/2}^T + S_{N/2} in the centre slot."""
+    h = N // 2
+    col = np.zeros((N, m, m))
+    col[0] = lags[0]
+    top = h if N % 2 else h - 1
+    for k in range(1, top + 1):
+        col[k] = lags[k].T
+        col[N - k] = lags[k]
+    if N % 2 == 0:
+        col[h] = lags[h].T + lags[h]
+    return col
+
+
+def legacy_model_blocks(Minv, n):
+    """Symmetrized lags 0..n of an inverse covariance, as model_from_covariance reads them."""
+    blocks = np.empty((n + 1, Minv.m, Minv.m))
+    blocks[0] = 0.5 * (Minv.first_col[0] + Minv.first_col[0].T)
+    for k in range(1, n + 1):
+        blocks[k] = 0.5 * (Minv.lag(k) + Minv.first_col[k].T)
+    return blocks
+
+
+def legacy_dual_gradient(M, band):
+    """First column of the banded circulant of (data lag k) - (lag k of M^{-1})."""
+    col = cm.inverse(cm.BlockCirculant(
+        M.m, M.N, legacy_assemble_circulant(np.asarray(M.M_blocks), M.N))).first_col
+    lags = np.asarray(band.sigma[:M.n + 1]) - legacy_band(
+        cm.BlockCirculant(M.m, M.N, col), M.n)
+    return legacy_assemble_circulant(lags, M.N)
+
+
+def _two_sided_lag(lags, k):
+    return lags[k] if k >= 0 else lags[-k].T
+
+
+def legacy_yule_walker_system(lags):
+    """(gram, rhs) of the order-n two-sided normal equations, block by block."""
+    n, m = (len(lags) - 1) // 2, lags.shape[1]
+    offs = list(range(-n, 0)) + list(range(1, n + 1))
+    gram = np.zeros((2 * n * m, 2 * n * m))
+    rhs = np.zeros((2 * n * m, m))
+    for i, ki in enumerate(offs):
+        rhs[i * m:(i + 1) * m] = _two_sided_lag(lags, ki).T
+        for j, kj in enumerate(offs):
+            gram[i * m:(i + 1) * m, j * m:(j + 1) * m] = _two_sided_lag(lags, kj - ki)
+    return gram, rhs
+
+
+def legacy_yule_walker_delta(lags, F):
+    """Unsymmetrized conjugate variance S_0 + sum_i F_{k_i} S_{-k_i}."""
+    n = (len(lags) - 1) // 2
+    offs = list(range(-n, 0)) + list(range(1, n + 1))
+    return lags[0] + sum(F[i] @ _two_sided_lag(lags, -k) for i, k in enumerate(offs))
+
+
+def legacy_project_circulant(M, m):
+    """Averages of the blocks of M along each cyclic block diagonal."""
+    N = M.shape[0] // m
+    col = np.zeros((N, m, m))
+    for k in range(N):
+        acc = np.zeros((m, m))
+        for i in range(N):
+            j = (i + k) % N
+            acc += M[i * m:(i + 1) * m, j * m:(j + 1) * m]
+        col[k] = acc / N
+    return col

@@ -201,6 +201,54 @@ class TestVerify:
         assert out["band_residual"] is None
 
 
+class TestMalformedBlocks:
+    """Block lists of the wrong count or row length are input errors (exit 1)."""
+
+    DEFECTS = {
+        "ragged": lambda rows: [rows[0] + [0.5]] + rows[1:],
+        "short": lambda rows: rows[:-1],
+        "over_long": lambda rows: rows + [rows[-1]],
+        "long_row": lambda rows: [row + [0.5] for row in rows],
+    }
+
+    @staticmethod
+    def _files(tmp_path):
+        """(argv builder, file, key, valid doc) for each block-carrying input."""
+        model = cm.ReciprocalModel(2, 1, 5, [[[2.0, 0.1], [0.1, 2.0]],
+                                             [[0.3, 0.0], [0.1, -0.2]]])
+        cov = cm.covariance_of_model(model)
+        band = cov.band(1)
+        data = cm.sample(model, 3, 0)
+        out = str(tmp_path / "out")
+        return {
+            "band": (lambda f: ["extend", "--band", f, "--N", "5", "--out", out],
+                     "sigma", band.to_json_dict()),
+            "model": (lambda f: ["sample", "--model", f, "--T", "2", "--seed", "0",
+                                 "--out", out + ".json"],
+                      "M", model.to_json_dict()),
+            "covariance": (lambda f: ["verify", "--model", str(tmp_path / "model-ok.json"),
+                                      "--cov", f],
+                           "first_col", cov.to_json_dict()),
+            "dataset": (lambda f: ["identify", "--data", f, "--n", "1", "--out", out],
+                        "realizations", data.to_json_dict()),
+        }, model
+
+    @pytest.mark.parametrize("defect", sorted(DEFECTS))
+    @pytest.mark.parametrize("kind", ["band", "model", "covariance", "dataset"])
+    def test_exits_1(self, tmp_path, capsys, kind, defect):
+        files, model = self._files(tmp_path)
+        _jsonio.dump(model.to_json_dict(), tmp_path / "model-ok.json")
+        argv, key, doc = files[kind]
+        path = tmp_path / f"{kind}.json"
+        _jsonio.dump(doc, path)
+        assert main(argv(str(path))) == 0  # the intact file is accepted
+        capsys.readouterr()
+        doc[key] = self.DEFECTS[defect](doc[key])
+        _jsonio.dump(doc, path)
+        assert main(argv(str(path))) == 1
+        assert "cannot read" in capsys.readouterr().err
+
+
 class TestUsage:
     def test_unknown_command_exits_1(self):
         assert main(["frobnicate"]) == 1
