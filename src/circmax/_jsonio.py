@@ -6,7 +6,7 @@ round-trip repr, so 64-bit values survive a write/read round trip
 bit-exactly; non-finite floats raise ValueError.
 
 A stack of blocks is stored as one flat row per block: ``rows_of`` writes
-it and ``blocks_of`` reads it back.
+it and ``blocks_of`` reads it back; ``ints_of`` reads the sizes m, n, N, T.
 """
 
 import json
@@ -29,6 +29,14 @@ def dump(obj, path) -> None:
 def load(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def ints_of(d: dict, *keys: str) -> tuple:
+    """The values of d at keys; one that is not a JSON integer raises ValueError."""
+    for k in keys:
+        if type(d[k]) is not int:  # not isinstance: bool is an int subclass
+            raise ValueError(f"{k} must be a JSON integer, got {d[k]!r}")
+    return tuple(d[k] for k in keys)
 
 
 def rows_of(blocks: np.ndarray) -> list:

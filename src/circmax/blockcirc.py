@@ -38,11 +38,13 @@ PD_TOL_FACTOR = 1e-10  # lambda_min must exceed PD_TOL_FACTOR * (1 + max spectra
 IMAG_TOL = 1e-10       # largest tolerated imaginary residue, relative to block scale
 
 
-def _as_blocks(blocks, m, count, name):
-    a = np.asarray(blocks, dtype=float)
-    if a.shape != (count, m, m):
-        raise DimensionError(f"{name} must have shape ({count}, {m}, {m}), got {a.shape}")
-    a = a.copy()
+def _as_blocks(blocks, shape: tuple, name: str) -> np.ndarray:
+    """The one real-array intake: a read-only float copy, finite and of the given shape."""
+    a = np.array(blocks, dtype=float)
+    if a.shape != shape:
+        raise DimensionError(f"{name} must have shape {shape}, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise DimensionError(f"{name} has a non-finite entry")
     a.flags.writeable = False
     return a
 
@@ -84,7 +86,8 @@ class CovBand:
     def __post_init__(self):
         if self.m < 1 or self.n < 0:
             raise DimensionError("need m >= 1 and n >= 0")
-        object.__setattr__(self, "sigma", _as_blocks(self.sigma, self.m, self.n + 1, "sigma"))
+        object.__setattr__(self, "sigma",
+                           _as_blocks(self.sigma, (self.n + 1, self.m, self.m), "sigma"))
         s0 = self.sigma[0]
         scale = 1.0 + np.abs(s0).max()
         if np.abs(s0 - s0.T).max() > 1e-10 * scale:
@@ -103,7 +106,7 @@ class CovBand:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CovBand":
-        m, n = int(d["m"]), int(d["n"])
+        m, n = _jsonio.ints_of(d, "m", "n")
         return cls(m, n, _jsonio.blocks_of(d["sigma"], n + 1, (m, m), "sigma blocks"))
 
 
@@ -119,7 +122,7 @@ class BlockCirculant:
         if self.m < 1 or self.N < 1:
             raise DimensionError("need m >= 1 and N >= 1")
         object.__setattr__(self, "first_col",
-                           _as_blocks(self.first_col, self.m, self.N, "first_col"))
+                           _as_blocks(self.first_col, (self.N, self.m, self.m), "first_col"))
 
     def is_symmetric(self, tol: float = 1e-12) -> bool:
         c = self.first_col
@@ -159,7 +162,7 @@ class BlockCirculant:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "BlockCirculant":
-        m, N = int(d["m"]), int(d["N"])
+        m, N = _jsonio.ints_of(d, "m", "N")
         return cls(m, N, _jsonio.blocks_of(d["first_col"], N, (m, m), "first_col blocks"))
 
 
@@ -262,9 +265,14 @@ def _from_half_spectrum(m: int, N: int, psi: np.ndarray) -> BlockCirculant:
     return BlockCirculant(m, N, np.fft.irfft(_hermitian_part(psi), n=N, axis=0))
 
 
+def _pd(w: np.ndarray) -> np.ndarray:
+    """The PD rule per row of ascending eigenvalues; a NaN anywhere in w fails every row."""
+    return w[..., 0] > pd_tolerance(float(np.abs(w).max()))
+
+
 def _require_pd(w: np.ndarray, what: str) -> None:
-    """Raise NotPositiveDefiniteError naming the first frequency at or below tolerance."""
-    bad = np.flatnonzero(w[:, 0] <= pd_tolerance(float(np.abs(w).max())))
+    """Raise NotPositiveDefiniteError naming the first frequency that fails _pd."""
+    bad = np.flatnonzero(~_pd(w))
     if bad.size:
         l = int(bad[0])
         raise NotPositiveDefiniteError(
@@ -282,8 +290,7 @@ def pd_tolerance(max_abs_eig: float) -> float:
 
 
 def is_positive_definite(C: BlockCirculant) -> bool:
-    lo, hi = spectral_bounds(C)
-    return lo > pd_tolerance(hi)
+    return bool(_pd(_half_spectrum(C)[1]).all())
 
 
 def logdet(C: BlockCirculant) -> float:
@@ -345,6 +352,4 @@ def toeplitz_gram(band: CovBand, order: int | None = None) -> np.ndarray:
 
 def is_strictly_positive(band: CovBand) -> bool:
     """Whether the block-Toeplitz matrix of the band is positive definite."""
-    T = toeplitz_gram(band)
-    w = np.linalg.eigvalsh(0.5 * (T + T.T))
-    return float(w[0]) > pd_tolerance(float(np.abs(w).max()))
+    return bool(_pd(np.linalg.eigvalsh(_hermitian_part(toeplitz_gram(band)))))

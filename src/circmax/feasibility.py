@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockcirc import (BlockCirculant, CovBand, _sequence, pd_tolerance,
-                        spectral_bounds)
+from .blockcirc import (BlockCirculant, CovBand, _hermitian_part, _pd, _sequence,
+                        pd_tolerance, spectral_bounds)
 from .errors import DimensionError, HorizonExhaustedError, InfeasibleBandError
 
 DEFAULT_HORIZON_FACTOR = 16  # default N_max = 16 * (2n + 1)
@@ -44,8 +44,7 @@ class FeasibilityCertificate:
 
 
 def _check_pd(mat: np.ndarray, context: str) -> None:
-    w = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-    if float(w[0]) <= pd_tolerance(float(np.abs(w).max())):
+    if not _pd(np.linalg.eigvalsh(_hermitian_part(mat))):
         raise InfeasibleBandError(f"infeasible band: {context} not positive definite")
 
 

@@ -43,9 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockcirc import (BlockCirculant, CovBand, _from_half_spectrum,
-                        _hermitian_part, _lags, _multiplicities, assemble_banded,
-                        inverse, logdet, pd_tolerance, spectral_bounds,
-                        toeplitz_gram)
+                        _hermitian_part, _lags, _multiplicities, _pd,
+                        assemble_banded, inverse, logdet, pd_tolerance,
+                        spectral_bounds, toeplitz_gram)
 from .errors import (ConvergenceError, DimensionError, HorizonExhaustedError,
                      InfeasibleBandError, InfeasibleExtensionError,
                      NotPositiveDefiniteError)
@@ -54,6 +54,8 @@ from .feasibility import (ar_extend, block_levinson, feasibility_certificate,
 
 HESSIAN_DIM_LIMIT = 2000
 COLLAPSE_STEP = 1e-14
+ARMIJO_C = 1e-4  # sufficient-decrease fraction of the line search
+BACKTRACK_FACTOR = 0.5
 START_MARGIN = 1e4  # the start's smallest eigenvalue, in PD guard tolerances
 COORD_CACHE_SIZE = 64  # (m, n, N) shapes whose band coordinates are kept
 
@@ -62,14 +64,10 @@ COORD_CACHE_SIZE = 64  # (m, n, N) shapes whose band coordinates are kept
 class SolverConfig:
     grad_tol: float = 1e-10
     max_iter: int = 200
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
 
     def __post_init__(self):
-        if min(self.grad_tol, self.max_iter, self.armijo_c) <= 0:
+        if not (self.grad_tol > 0 and self.max_iter > 0):
             raise DimensionError("solver parameters must be positive")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise DimensionError("backtrack_factor must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -195,12 +193,6 @@ class _BandCoords:
         return w[:, None] * (R[idx[0]] + R[idx[1]] + R[idx[2]] + R[idx[3]]) * w
 
 
-def _eig_floor(psi_unique: np.ndarray):
-    """Batch eigenvalues of Hermitian parts; (eigs, min, blockcirc's PD tolerance)."""
-    w = np.linalg.eigvalsh(_hermitian_part(psi_unique))
-    return w, float(w[:, 0].min()), pd_tolerance(float(np.abs(w).max()))
-
-
 def _logdet_from_eigs(w: np.ndarray, mult: np.ndarray) -> float:
     return float((mult * np.log(w).sum(axis=1)).sum())
 
@@ -305,9 +297,8 @@ def solve(band: CovBand, N: int, cfg: SolverConfig | None = None,
             f"band dimension m(m+1)/2 + n m^2 = {dim} exceeds the Newton limit "
             f"{HESSIAN_DIM_LIMIT}")
     # is_strictly_positive's rule; the eigenvectors give the AR start
-    T = toeplitz_gram(band)
-    gram_w, gram_V = np.linalg.eigh(0.5 * (T + T.T))
-    if float(gram_w[0]) <= pd_tolerance(float(np.abs(gram_w).max())):
+    gram_w, gram_V = np.linalg.eigh(_hermitian_part(toeplitz_gram(band)))
+    if not _pd(gram_w):
         raise InfeasibleBandError("infeasible band: T_n is not positive definite")
 
     # normalize to unit lag-0 scale; the problem is exactly scale-equivariant
@@ -329,16 +320,16 @@ def solve(band: CovBand, N: int, cfg: SolverConfig | None = None,
     x = coords.vec_of(blocks0)
 
     psi = coords.psi_of(x)
-    w, lo, tol = _eig_floor(psi)
+    w = np.linalg.eigvalsh(_hermitian_part(psi))
     # the AR precision's condition number is about cond(T_n)^2, so on
     # strongly correlated bands it can sit at the PD guard; Newton then
     # stalls there, so lift M_0 until the start is well inside the cone
-    lift = START_MARGIN * tol - lo
+    lift = START_MARGIN * pd_tolerance(float(np.abs(w).max())) - float(w[:, 0].min())
     if init is None and lift > 0.0:
         x[:m] += lift
         psi = psi + lift * np.eye(m)
-        w, lo, tol = _eig_floor(psi)
-    if lo <= tol:
+        w = np.linalg.eigvalsh(_hermitian_part(psi))
+    if not _pd(w).all():
         raise NotPositiveDefiniteError("initial dual variable is not PD")
     f = float(p @ x) - _logdet_from_eigs(w, coords.mult)
 
@@ -377,16 +368,16 @@ def solve(band: CovBand, N: int, cfg: SolverConfig | None = None,
         t = 1.0
         while True:
             trial_psi = psi + t * s_psi
-            w_t, lo_t, tol_t = _eig_floor(trial_psi)
-            if lo_t > tol_t:
+            w_t = np.linalg.eigvalsh(_hermitian_part(trial_psi))
+            if _pd(w_t).all():
                 f_t = float(p @ (x + t * s)) - _logdet_from_eigs(w_t, coords.mult)
                 # quadratic endgame: sufficient-decrease test is meaningless
                 # at machine precision, the PD guard alone gates the step
                 if endgame and f_t <= f + noise_floor:
                     break
-                if f_t <= f + cfg.armijo_c * t * gs:
+                if f_t <= f + ARMIJO_C * t * gs:
                     break
-            t *= cfg.backtrack_factor
+            t *= BACKTRACK_FACTOR
             if t < COLLAPSE_STEP:
                 collapsed = True
                 break

@@ -14,11 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _jsonio
-from .blockcirc import (BlockCirculant, _hermitian_part, _lags, _multiplicities,
-                        _two_sided, assemble_banded, band_residual, inverse,
-                        pd_tolerance)
-# perfbench/tracer.py patches these two names in this module; keep them importable
-from .blockcirc import dft_block_diagonalize, is_positive_definite  # noqa: F401
+from .blockcirc import (BlockCirculant, _as_blocks, _hermitian_part, _lags,
+                        _multiplicities, _pd, _two_sided, assemble_banded,
+                        band_residual, inverse, pd_tolerance)
 from .errors import (DegenerateProcessError, DimensionError, InvalidModelError,
                      NotPositiveDefiniteError, NotReciprocalError)
 
@@ -35,17 +33,12 @@ class ReciprocalModel:
     M_blocks: np.ndarray  # (n+1, m, m)
 
     def __post_init__(self):
-        blocks = np.asarray(self.M_blocks, dtype=float)
-        if blocks.shape != (self.n + 1, self.m, self.m):
-            raise DimensionError(
-                f"M_blocks must have shape ({self.n + 1}, {self.m}, {self.m})")
+        blocks = _as_blocks(self.M_blocks, (self.n + 1, self.m, self.m), "M_blocks")
         if self.N < 2 * self.n + 1:
             raise DimensionError(f"N={self.N} below 2n+1={2 * self.n + 1}")
         m0 = blocks[0]
         if np.abs(m0 - m0.T).max() > 1e-10 * (1.0 + np.abs(m0).max()):
             raise InvalidModelError("M_0 must be symmetric")
-        blocks = blocks.copy()
-        blocks.flags.writeable = False
         object.__setattr__(self, "M_blocks", blocks)
 
     def assembled(self) -> BlockCirculant:
@@ -57,7 +50,7 @@ class ReciprocalModel:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ReciprocalModel":
-        m, n, N = int(d["m"]), int(d["n"]), int(d["N"])
+        m, n, N = _jsonio.ints_of(d, "m", "n", "N")
         return cls(m, n, N, _jsonio.blocks_of(d["M"], n + 1, (m, m), "M blocks"))
 
 
@@ -93,14 +86,9 @@ class Dataset:
     realizations: np.ndarray  # (T, N, m)
 
     def __post_init__(self):
-        a = np.asarray(self.realizations, dtype=float)
-        if a.shape != (self.T, self.N, self.m):
-            raise DimensionError(
-                f"realizations must have shape ({self.T}, {self.N}, {self.m})")
+        a = _as_blocks(self.realizations, (self.T, self.N, self.m), "realizations")
         if self.T < 1:
             raise DimensionError("need T >= 1")
-        a = a.copy()
-        a.flags.writeable = False
         object.__setattr__(self, "realizations", a)
 
     def to_json_dict(self) -> dict:
@@ -109,7 +97,7 @@ class Dataset:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Dataset":
-        m, N, T = int(d["m"]), int(d["N"]), int(d["T"])
+        m, N, T = _jsonio.ints_of(d, "m", "N", "T")
         return cls(m, N, T, _jsonio.blocks_of(d["realizations"], T, (N, m), "realizations"))
 
 
@@ -142,8 +130,8 @@ def yule_walker(lags: np.ndarray) -> tuple[np.ndarray, ConjugateStats]:
     m, n = sys.m, sys.n
     if n == 0:
         return np.zeros((0, m, m)), ConjugateStats(0.5 * (lags[0] + lags[0].T))
-    w = np.linalg.eigvalsh(0.5 * (sys.gram + sys.gram.T))
-    if float(np.abs(w).min()) <= pd_tolerance(float(np.abs(w).max())):
+    w = np.linalg.eigvalsh(_hermitian_part(sys.gram))
+    if not float(np.abs(w).min()) > pd_tolerance(float(np.abs(w).max())):
         raise DegenerateProcessError(
             "degenerate process: singular two-sided normal equations")
     X = np.linalg.solve(sys.gram, -sys.rhs)
@@ -231,7 +219,7 @@ def sample(model: ReciprocalModel, T: int, seed: int) -> Dataset:
     m, N = model.m, model.N
     psi = _hermitian_part(np.fft.rfft(model.assembled().first_col, axis=0))
     w, V = np.linalg.eigh(psi)
-    if float(w[:, 0].min()) <= pd_tolerance(float(np.abs(w).max())):
+    if not _pd(w).all():
         raise InvalidModelError("invalid model: assembled matrix not PD")
     # Hermitian square root of each covariance block Psi_l(C) = Psi_l(M)^{-1}
     roots = (V / np.sqrt(w[:, None, :])) @ V.conj().swapaxes(1, 2)

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 import circmax as cm
+from circmax import blockcirc
 from conftest import dense_circulant_oracle, random_stationary_band
+
+NON_FINITE = [float("nan"), float("inf"), -float("inf")]
 
 
 def blocks(*vals):
@@ -45,6 +48,14 @@ class TestAssemble:
             D = cm.BlockCirculant(m, N, col).to_dense()
             U = cm.shift_matrix(m, N)
             assert np.array_equal(U.T @ D @ U, D) or np.abs(U.T @ D @ U - D).max() < 1e-15
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("where", [(0, 0, 0), (0, 0, 1), (2, 1, 0)])
+    def test_non_finite_rejected(self, where, bad):
+        col = np.tile(np.eye(2), (3, 1, 1))
+        col[where] = bad
+        with pytest.raises(cm.DimensionError, match="first_col has a non-finite entry"):
+            cm.BlockCirculant(2, 3, col)
 
     def test_matvec_matches_dense(self):
         rng = np.random.default_rng(19)
@@ -203,6 +214,16 @@ class TestBatchedSpectrum:
         got = cm.inverse(C).first_col
         assert np.abs(got - inv).max() <= 1e-12 * (1 + np.abs(inv).max())
 
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1), (2, 0), (2, 1)])
+    def test_pd_rule_fails_on_nan(self, where):
+        w = np.array([[1.0, 2.0], [0.5, 3.0], [1.5, 4.0]])
+        assert blockcirc._pd(w).all()
+        w[where] = np.nan
+        assert not blockcirc._pd(w).any()
+        assert not blockcirc._pd(w[where[0]])
+        with pytest.raises(cm.NotPositiveDefiniteError):
+            blockcirc._require_pd(w, "nan")
+
     @pytest.mark.parametrize("N", [5, 6])
     def test_error_names_first_bad_frequency(self, N):
         # scalar spectrum 3, 2, -1, -1, ... (symmetric in l -> N-l): l = 2 fails first
@@ -275,6 +296,14 @@ class TestCovBand:
     def test_asymmetric_lag0_rejected(self):
         with pytest.raises(cm.DimensionError):
             cm.CovBand(2, 0, np.array([[[1.0, 0.5], [0.0, 1.0]]]))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("where", [(0, 0, 0), (0, 0, 1), (1, 1, 0)])
+    def test_non_finite_rejected(self, where, bad):
+        sigma = np.array([[[2.0, 0.5], [0.5, 2.0]], [[0.3, 0.1], [0.0, 0.2]]])
+        sigma[where] = bad
+        with pytest.raises(cm.DimensionError, match="sigma has a non-finite entry"):
+            cm.CovBand(2, 1, sigma)
 
     def test_toeplitz_positivity(self):
         assert cm.is_strictly_positive(cm.CovBand(1, 1, blocks(1.0, 0.5)))

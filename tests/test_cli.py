@@ -49,6 +49,14 @@ class TestExtend:
                m0 * x4 + 2 * m1 * x3 + 2 * m2 * s2]
         assert max(abs(e) for e in eqs) <= 1e-8
 
+    def test_fractional_m_exits_1(self, tmp_path, band_file, capsys):
+        doc = _jsonio.load(band_file)
+        doc["m"] = 1.7
+        _jsonio.dump(doc, band_file)
+        assert main(["extend", "--band", str(band_file), "--N", "8",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "m must be a JSON integer, got 1.7" in capsys.readouterr().err
+
     def test_identity_band(self, tmp_path):
         path = tmp_path / "band.json"
         _jsonio.dump(cm.CovBand(1, 0, blocks(1.0)).to_json_dict(), path)
@@ -152,6 +160,18 @@ class TestFeasibility:
         assert out["feasible_N"] == 20
         assert out["min_eig_trace"]["3"] < 0
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("lag", [0, 1])
+    def test_non_finite_band_exits_1(self, tmp_path, capsys, lag, bad):
+        sigma = ["1.0", "0.5"]
+        sigma[lag] = bad
+        path = tmp_path / "band.json"
+        path.write_text(f'{{"m":1,"n":1,"sigma":[[{sigma[0]}],[{sigma[1]}]]}}')
+        assert main(["feasibility", "--band", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "sigma has a non-finite entry" in out.err
+
     def test_non_pd_band_exits_2(self, tmp_path):
         path = tmp_path / "band.json"
         _jsonio.dump(cm.CovBand(1, 1, blocks(1.0, 1.5)).to_json_dict(), path)
@@ -247,6 +267,39 @@ class TestMalformedBlocks:
         _jsonio.dump(doc, path)
         assert main(argv(str(path))) == 1
         assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("kind", ["band", "model", "covariance", "dataset"])
+    def test_non_finite_exits_1(self, tmp_path, capsys, kind, bad):
+        files, model = self._files(tmp_path)
+        _jsonio.dump(model.to_json_dict(), tmp_path / "model-ok.json")
+        argv, key, doc = files[kind]
+        doc[key][0][0] = bad
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(doc))  # the stdlib writes NaN and Infinity literals
+        assert main(argv(str(path))) == 1
+        assert "has a non-finite entry" in capsys.readouterr().err
+
+    HEADER_DEFECTS = {
+        "fraction": lambda v: v + 0.7,
+        "float": float,
+        "string": str,
+        "boolean": bool,
+    }
+
+    @pytest.mark.parametrize("defect", sorted(HEADER_DEFECTS))
+    @pytest.mark.parametrize("kind,key", [("band", "m"), ("band", "n"), ("model", "n"),
+                                          ("model", "N"), ("covariance", "N"),
+                                          ("dataset", "T")])
+    def test_non_integer_header_exits_1(self, tmp_path, capsys, kind, key, defect):
+        files, model = self._files(tmp_path)
+        _jsonio.dump(model.to_json_dict(), tmp_path / "model-ok.json")
+        argv, _, doc = files[kind]
+        doc[key] = self.HEADER_DEFECTS[defect](doc[key])
+        path = tmp_path / f"{kind}.json"
+        _jsonio.dump(doc, path)
+        assert main(argv(str(path))) == 1
+        assert f"{key} must be a JSON integer" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -285,9 +285,9 @@ class TestSolve:
 
     def test_config_validation(self):
         with pytest.raises(cm.DimensionError):
-            cm.SolverConfig(backtrack_factor=1.5)
-        with pytest.raises(cm.DimensionError):
             cm.SolverConfig(grad_tol=0.0)
+        with pytest.raises(cm.DimensionError):
+            cm.SolverConfig(grad_tol=float("nan"))
 
     def test_monotone_descent(self):
         rng = np.random.default_rng(12)

@@ -5,6 +5,9 @@ import circmax as cm
 from conftest import random_model, random_stationary_band
 
 
+NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+
 def blocks(*vals):
     a = np.asarray(vals, dtype=float)
     return a.reshape(len(vals), 1, 1)
@@ -107,6 +110,14 @@ class TestModelCovariance:
         dense = np.linalg.inv(model.assembled().to_dense())
         assert np.abs(C.to_dense() - dense).max() < 1e-12
         assert np.abs(model.assembled().to_dense() @ C.to_dense() - np.eye(8)).max() < 1e-9
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("where", [(0, 0, 0), (0, 0, 1), (1, 1, 0)])
+    def test_non_finite_model_rejected(self, where, bad):
+        M = np.array([[[2.0, 0.1], [0.1, 2.0]], [[0.3, 0.0], [0.1, -0.2]]])
+        M[where] = bad
+        with pytest.raises(cm.DimensionError, match="M_blocks has a non-finite entry"):
+            cm.ReciprocalModel(2, 1, 5, M)
 
     def test_invalid_model_rejected(self):
         bad = cm.ReciprocalModel(1, 1, 5, blocks(1.0, 0.8))
@@ -255,6 +266,13 @@ class TestSample:
         bad = cm.ReciprocalModel(1, 1, 5, blocks(1.0, 0.8))
         with pytest.raises(cm.InvalidModelError):
             cm.sample(bad, 3, seed=0)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_dataset_rejected(self, bad):
+        Y = np.ones((2, 4, 1))
+        Y[1, 3, 0] = bad
+        with pytest.raises(cm.DimensionError, match="realizations has a non-finite entry"):
+            cm.Dataset(1, 4, 2, Y)
 
     @pytest.mark.parametrize("m,n,N", [(1, 0, 1), (1, 1, 3), (1, 2, 8), (2, 0, 2),
                                        (2, 1, 7), (2, 2, 5), (3, 1, 10), (3, 3, 7)])
