@@ -26,7 +26,7 @@ from .feasibility import (FeasibilityCertificate, LevinsonResult, ar_extend,
                           find_feasible_N, wrap_sequence)
 from .identify import (IdentifyResult, SufficientStats, identify,
                        log_likelihood, sufficient_statistics)
-from .maxent import (ExtensionResult, SolveDiagnostics, SolverConfig, dual_gradient,
+from .maxent import (ExtensionResult, SolveDiagnostics, dual_gradient,
                      dual_objective, entropy, solve)
 from .reciprocal import (ConjugateStats, Dataset, ModelResidualReport,
                          ReciprocalModel, YuleWalkerSystem,

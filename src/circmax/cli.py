@@ -21,7 +21,7 @@ from .errors import (CircmaxError, ConvergenceError, DegenerateDataError,
                      NotPositiveDefiniteError, NotReciprocalError)
 from .feasibility import feasibility_certificate
 from .identify import identify
-from .maxent import SolverConfig, solve
+from .maxent import solve
 from .reciprocal import Dataset, ReciprocalModel, sample, verify_model
 
 EXIT_OK = 0
@@ -67,20 +67,10 @@ def _write_failure(command, out_dir, exc) -> int:
     return EXIT_INFEASIBLE
 
 
-def _solver_config(args) -> SolverConfig:
-    kwargs = {}
-    if getattr(args, "tol", None) is not None:
-        kwargs["grad_tol"] = args.tol
-    if getattr(args, "max_iter", None) is not None:
-        kwargs["max_iter"] = args.max_iter
-    return SolverConfig(**kwargs)
-
-
 def _cmd_extend(args) -> int:
     band = _load(args.band, CovBand.from_json_dict, "covariance band")
-    cfg = _solver_config(args)
     try:
-        result = solve(band, args.N, cfg)
+        result = solve(band, args.N)
     except (InfeasibleBandError, InfeasibleExtensionError, ConvergenceError) as exc:
         return _write_failure("extend", args.out, exc)
     _write_outputs(args.out,
@@ -92,9 +82,8 @@ def _cmd_extend(args) -> int:
 
 def _cmd_identify(args) -> int:
     data = _load(args.data, Dataset.from_json_dict, "dataset")
-    cfg = _solver_config(args)
     try:
-        result = identify(data, args.n, cfg, ridge=args.ridge,
+        result = identify(data, args.n, ridge=args.ridge,
                           extend_N=args.extend_N)
     except (DegenerateDataError, InfeasibleBandError, InfeasibleExtensionError,
             ConvergenceError) as exc:
@@ -164,8 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extend", help="maximum-entropy extension of a band")
     p.add_argument("--band", required=True, help="covariance band JSON")
     p.add_argument("--N", required=True, type=int, help="circle size")
-    p.add_argument("--tol", type=float, default=None, help="gradient tolerance")
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_extend)
 
@@ -176,8 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="add ridge*I to the lag-0 sample covariance")
     p.add_argument("--extend-N", dest="extend_N", type=int, default=None,
                    help="solve on a larger circle than the data period")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_identify)
 

@@ -57,7 +57,12 @@ class InvalidModelError(CircmaxError):
 
 
 class ConvergenceError(CircmaxError):
-    """Solver hit its iteration limit. Carries the diagnostics record."""
+    """Solver stopped unproven: neither converged nor certified infeasible.
+
+    Raised when the line search collapses or the iteration limit is hit
+    before an infeasibility certificate appears; near the PD rule's
+    tolerance neither outcome can be proven.  Carries the diagnostics record.
+    """
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
@@ -65,9 +70,16 @@ class ConvergenceError(CircmaxError):
 
 
 class InfeasibleExtensionError(CircmaxError):
-    """No positive completion exists at the requested circle size.
+    """No positive completion exists at the requested circle size: proven.
 
-    Carries ``certificate`` (a feasibility search record) when available.
+    ``certificate`` holds the proof, a PD banded circulant M whose pairing
+    with the band is <= 0: ``dual_blocks`` (M's lag blocks B_0..B_n, one
+    flat row each) and ``pairing`` = N(<B_0,S_0> + 2 sum_k <B_k,S_k>).
+    Every completion Sigma has <M, Sigma> = pairing, which a PD Sigma
+    would make positive.  It also holds ``smallest_feasible_N`` (the first N whose AR
+    wrap is PD, a witness and not the minimum), ``min_eig_trace`` and
+    ``wrap_min_eig`` from that scan, and ``wrap_feasible``: always False,
+    since a PD wrap at N would be a PD completion.
     """
 
     def __init__(self, message, certificate=None, diagnostics=None):

@@ -8,14 +8,14 @@ is the banded inverse of that extension.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blockcirc import CovBand
 from .errors import DegenerateDataError, DimensionError, InfeasibleBandError
-from .maxent import (ExtensionResult, SolveDiagnostics, SolverConfig,
-                     dual_objective, solve)
+from .maxent import ExtensionResult, SolveDiagnostics, dual_objective, solve
 from .reciprocal import Dataset, ReciprocalModel
 
 
@@ -57,6 +57,8 @@ def sufficient_statistics(data: Dataset, n: int) -> SufficientStats:
     for k in range(n + 1):
         acc = np.einsum("tsi,tsj->ij", np.roll(Y, -k, axis=1), Y)
         out[k] = scale * acc
+    if not np.isfinite(out).all():
+        raise DimensionError("realizations too large: their sample covariances overflow")
     out[0] = 0.5 * (out[0] + out[0].T)
     return SufficientStats(data.m, n, out)
 
@@ -73,15 +75,17 @@ def log_likelihood(model: ReciprocalModel, stats: SufficientStats, T: int) -> fl
     return -dual_objective(model, stats.as_band())
 
 
-def identify(data: Dataset, n: int, cfg: SolverConfig | None = None,
-             ridge: float = 0.0, extend_N: int | None = None) -> IdentifyResult:
+def identify(data: Dataset, n: int, ridge: float = 0.0,
+             extend_N: int | None = None) -> IdentifyResult:
     """Estimate the order-n reciprocal model of the data.
 
     Composes sufficient_statistics, the maximum-entropy extension of the
     sample band at N (the data period unless extend_N overrides it), and
     the banded-inverse readout.  A positive ridge adds ridge*I to the
-    lag-0 sample covariance before solving.
+    lag-0 sample covariance before solving; ridge must be finite and >= 0.
     """
+    if not (math.isfinite(ridge) and ridge >= 0.0):
+        raise DimensionError(f"ridge must be finite and >= 0, got {ridge}")
     stats = sufficient_statistics(data, n)
     sigma = np.asarray(stats.sigma_hat)
     if ridge > 0.0:
@@ -90,7 +94,7 @@ def identify(data: Dataset, n: int, cfg: SolverConfig | None = None,
     band = CovBand(data.m, n, sigma)
     N = data.N if extend_N is None else int(extend_N)
     try:
-        result: ExtensionResult = solve(band, N, cfg)
+        result: ExtensionResult = solve(band, N)
     except InfeasibleBandError as exc:
         raise DegenerateDataError(
             "insufficient or degenerate data: sample Toeplitz matrix not PD") from exc

@@ -42,32 +42,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _jsonio
 from .blockcirc import (BlockCirculant, CovBand, _from_half_spectrum,
                         _hermitian_part, _lags, _multiplicities, _pd,
                         assemble_banded, inverse, logdet, pd_tolerance,
-                        spectral_bounds, toeplitz_gram)
+                        toeplitz_gram)
 from .errors import (ConvergenceError, DimensionError, HorizonExhaustedError,
                      InfeasibleBandError, InfeasibleExtensionError,
                      NotPositiveDefiniteError)
-from .feasibility import (ar_extend, block_levinson, feasibility_certificate,
-                          wrap_sequence)
+from .feasibility import feasibility_certificate
 
 HESSIAN_DIM_LIMIT = 2000
+GRAD_TOL = 1e-10  # relative gradient at which a solve counts as converged
+MAX_ITER = 200
 COLLAPSE_STEP = 1e-14
 ARMIJO_C = 1e-4  # sufficient-decrease fraction of the line search
 BACKTRACK_FACTOR = 0.5
 START_MARGIN = 1e4  # the start's smallest eigenvalue, in PD guard tolerances
 COORD_CACHE_SIZE = 64  # (m, n, N) shapes whose band coordinates are kept
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    grad_tol: float = 1e-10
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not (self.grad_tol > 0 and self.max_iter > 0):
-            raise DimensionError("solver parameters must be positive")
 
 
 @dataclass(frozen=True)
@@ -252,31 +244,21 @@ def entropy(C: BlockCirculant) -> float:
     return 0.5 * logdet(C) + 0.5 * d * (1.0 + math.log(2.0 * math.pi))
 
 
-def _infeasibility_report(band: CovBand, N: int) -> dict:
-    """Wrap test at this N plus the smallest feasible N within the horizon."""
-    report: dict = {"N": N}
-    try:
-        lev = block_levinson(band)
-        extended = np.concatenate(
-            [band.sigma, ar_extend(lev, band, max(N // 2 + 1 - band.n, 0))], axis=0)
-        wrap = wrap_sequence(band.m, N, extended)
-        lo, hi = spectral_bounds(wrap)
-        report["wrap_min_eig"] = lo
-        report["wrap_feasible"] = bool(lo > pd_tolerance(hi))
-    except InfeasibleBandError:
-        report["wrap_feasible"] = False
+def _infeasibility_report(band: CovBand, N: int, dual_blocks: np.ndarray,
+                          pairing: float) -> dict:
+    """The certifying iterate plus the AR-wrap scan; see InfeasibleExtensionError."""
     try:
         cert = feasibility_certificate(band, N_max=max(N, 16 * (2 * band.n + 1)))
-        report["smallest_feasible_N"] = cert.N
-        report["min_eig_trace"] = {str(k): v for k, v in cert.min_eig_trace.items()}
+        smallest, trace = cert.N, cert.min_eig_trace
     except HorizonExhaustedError as exc:
-        report["smallest_feasible_N"] = None
-        report["min_eig_trace"] = {str(k): v for k, v in exc.min_eig_trace.items()}
-    return report
+        smallest, trace = None, exc.min_eig_trace
+    return {"N": N, "dual_blocks": _jsonio.rows_of(dual_blocks), "pairing": pairing,
+            "wrap_feasible": False, "wrap_min_eig": trace.get(N),
+            "smallest_feasible_N": smallest,
+            "min_eig_trace": {str(k): v for k, v in trace.items()}}
 
 
-def solve(band: CovBand, N: int, cfg: SolverConfig | None = None,
-          init=None) -> ExtensionResult:
+def solve(band: CovBand, N: int, init=None) -> ExtensionResult:
     """Maximum-entropy circulant band extension at circle size N.
 
     Returns the extension Sigma_opt (positive definite, band equal to the
@@ -284,10 +266,17 @@ def solve(band: CovBand, N: int, cfg: SolverConfig | None = None,
     model M = Sigma_opt^{-1}, and the iteration diagnostics.  Newton
     starts at init, or else at the band's AR model, lifted on M_0 where
     its spectrum comes within START_MARGIN guard tolerances of singular.
+
+    Every iterate M is PD and pairs with every completion Sigma of the
+    band to the same number p.x, so an iterate with p.x <= 0 proves that
+    no PD completion exists (Boyd & Vandenberghe, Convex Optimization,
+    sec. 5.8).  solve checks this before each Newton step and raises
+    InfeasibleExtensionError carrying M's lag blocks and p.x; a solve
+    that stops short of both convergence and such a certificate raises
+    ConvergenceError.
     """
     from .reciprocal import ReciprocalModel
 
-    cfg = cfg or SolverConfig()
     m, n = band.m, band.n
     if N < 2 * n + 1:
         raise DimensionError(f"N={N} below 2n+1={2 * n + 1}")
@@ -331,24 +320,36 @@ def solve(band: CovBand, N: int, cfg: SolverConfig | None = None,
         w = np.linalg.eigvalsh(_hermitian_part(psi))
     if not _pd(w).all():
         raise NotPositiveDefiniteError("initial dual variable is not PD")
-    f = float(p @ x) - _logdet_from_eigs(w, coords.mult)
+    px = float(p @ x)
+    f = px - _logdet_from_eigs(w, coords.mult)
 
     trace = [f + f_shift]
     grad_norm_rel = math.inf
     band_match = math.inf
     collapsed = False
 
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         psi_inv = np.linalg.inv(psi)
         gamma = np.asarray(wband.sigma) - _lags(np.fft.irfft(psi_inv, n=N, axis=0), n)
         g = coords.pair_vec(gamma)
         grad_norm_rel = _block_norm(gamma) / (1.0 + band_norm)
         band_match = float(np.max(np.linalg.norm(gamma, axis=(1, 2)) / lag_scale))
-        if grad_norm_rel <= cfg.grad_tol and band_match <= 10.0 * cfg.grad_tol:
+        if grad_norm_rel <= GRAD_TOL and band_match <= 10.0 * GRAD_TOL:
             model = ReciprocalModel(m, n, N, coords.blocks_of(x) / scale)
             sigma_opt = _from_half_spectrum(m, N, scale * psi_inv)
             diag = SolveDiagnostics(it - 1, trace, grad_norm_rel, band_match, True)
             return ExtensionResult(sigma_opt, model, diag)
+
+        px_abs = float(np.abs(p) @ np.abs(x))
+        # p.x = <M, Sigma> for every completion Sigma, and M is PD: p.x <= 0
+        # (beyond its rounding) proves that no completion is PD
+        if px <= -1e-14 * px_abs:
+            diag = SolveDiagnostics(it - 1, trace, grad_norm_rel, band_match, False)
+            raise InfeasibleExtensionError(
+                f"infeasible: no positive completion exists at N={N} "
+                f"(a positive definite dual iterate pairs with the band to {px:.3e})",
+                certificate=_infeasibility_report(band, N, coords.blocks_of(x) / scale, px),
+                diagnostics=diag)
 
         H = coords.hessian(psi_inv)
         H = 0.5 * (H + H.T)
@@ -363,14 +364,15 @@ def solve(band: CovBand, N: int, cfg: SolverConfig | None = None,
         gs = float(g @ s)
         # below this, objective comparisons drown in rounding noise; f = p.x -
         # log det M cancels, so the noise scales with the terms, not with f
-        noise_floor = 1e-14 * (1.0 + abs(f) + float(np.abs(p) @ np.abs(x)))
+        noise_floor = 1e-14 * (1.0 + abs(f) + px_abs)
         endgame = -gs <= noise_floor
         t = 1.0
         while True:
             trial_psi = psi + t * s_psi
             w_t = np.linalg.eigvalsh(_hermitian_part(trial_psi))
             if _pd(w_t).all():
-                f_t = float(p @ (x + t * s)) - _logdet_from_eigs(w_t, coords.mult)
+                px_t = float(p @ (x + t * s))
+                f_t = px_t - _logdet_from_eigs(w_t, coords.mult)
                 # quadratic endgame: sufficient-decrease test is meaningless
                 # at machine precision, the PD guard alone gates the step
                 if endgame and f_t <= f + noise_floor:
@@ -387,21 +389,14 @@ def solve(band: CovBand, N: int, cfg: SolverConfig | None = None,
             break
         x = x + t * s
         psi = psi + t * s_psi
-        f = f_t
+        px, f = px_t, f_t
         trace.append(f + f_shift)
 
     diag = SolveDiagnostics(len(trace) - 1, trace, grad_norm_rel, band_match, False)
-    report = _infeasibility_report(band, N)
-    if not report.get("wrap_feasible", False):
-        raise InfeasibleExtensionError(
-            f"infeasible: no positive completion found at N={N} "
-            f"(wrap min eigenvalue {report.get('wrap_min_eig')})",
-            certificate=report, diagnostics=diag)
     if collapsed:
         raise ConvergenceError(
-            "no convergence: line search collapsed on a feasible instance",
+            "no convergence: line search collapsed with no infeasibility certificate",
             diagnostics=diag)
     raise ConvergenceError(
-        f"no convergence within {cfg.max_iter} iterations "
+        f"no convergence within {MAX_ITER} iterations "
         f"(relative gradient {grad_norm_rel:.3e})", diagnostics=diag)
-

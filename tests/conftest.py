@@ -59,6 +59,28 @@ def dense_circulant_oracle(band, N):
     return D
 
 
+def check_infeasibility_certificate(cert, sigma, N):
+    """Check an infeasibility certificate against the band lags with numpy only.
+
+    The dual blocks B_0..B_n generate the banded circulant (B_0, B_1^T, ...,
+    B_n^T, 0, ..., B_n, ..., B_1), which must be PD (one rfft and one
+    eigvalsh), and must pair with every completion of the band to
+    N(<B_0,S_0> + 2 sum_k <B_k,S_k>) <= 0; so no completion is PD.
+    """
+    S = np.asarray(sigma, dtype=float)
+    n, m = S.shape[0] - 1, S.shape[1]
+    assert cert["N"] == N
+    B = np.reshape(cert["dual_blocks"], (n + 1, m, m))
+    col = np.zeros((N, m, m))
+    col[0] = B[0]
+    col[1:n + 1] = B[1:].transpose(0, 2, 1)
+    col[N - n:] = B[1:][::-1]
+    assert np.linalg.eigvalsh(np.fft.rfft(col, axis=0)).min() > 0.0
+    pairing = N * (np.sum(B[0] * S[0]) + 2.0 * np.sum(B[1:] * S[1:]))
+    assert pairing <= 0.0
+    assert abs(pairing - cert["pairing"]) <= 1e-12 * N * np.abs(B).sum() * np.abs(S).max()
+
+
 def dense_toeplitz_oracle(lags, size):
     """Dense block-Toeplitz matrix with (i, j) block S_{i-j}, S_{-k} = S_k^T."""
     lags = np.asarray(lags, dtype=float)

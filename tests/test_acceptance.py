@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import circmax as cm
-from conftest import (bruteforce_scalar_extension, random_model,
-                      random_stationary_band)
+from conftest import (bruteforce_scalar_extension, check_infeasibility_certificate,
+                      random_model, random_stationary_band)
 
 
 def blocks(*vals):
@@ -93,7 +93,8 @@ def _scalar_instances(count=20, seed=77):
         band = random_stationary_band(rng, 1, n, jitter=5e-2)
         try:
             result = cm.solve(band, N)
-        except cm.InfeasibleExtensionError:
+        except cm.InfeasibleExtensionError as exc:
+            check_infeasibility_certificate(exc.certificate, band.sigma, N)
             continue
         out.append((band, N, result))
     return out

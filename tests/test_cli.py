@@ -6,6 +6,7 @@ import pytest
 import circmax as cm
 from circmax import _jsonio
 from circmax.cli import main
+from conftest import check_infeasibility_certificate
 
 
 def blocks(*vals):
@@ -83,6 +84,7 @@ class TestExtend:
                      "--out", str(out)]) == 2
         diag = _jsonio.load(out / "diagnostics.json")
         assert diag["certificate"]["smallest_feasible_N"] == 4
+        check_infeasibility_certificate(diag["certificate"], blocks(1.0, -0.6), 3)
 
     def test_malformed_json_exits_1(self, tmp_path):
         path = tmp_path / "band.json"
@@ -136,6 +138,17 @@ class TestSampleAndIdentify:
         _jsonio.dump(data.to_json_dict(), path)
         assert main(["identify", "--data", str(path), "--n", "2",
                      "--out", str(tmp_path / "fit")]) == 2
+
+    @pytest.mark.parametrize("ridge", ["nan", "-5", "inf"])
+    def test_identify_invalid_ridge_exits_1(self, tmp_path, capsys, ridge):
+        data = cm.Dataset(1, 16, 50, np.random.default_rng(4).standard_normal((50, 16, 1)))
+        path = tmp_path / "data.json"
+        _jsonio.dump(data.to_json_dict(), path)
+        out = tmp_path / "fit"
+        assert main(["identify", "--data", str(path), "--n", "1", "--ridge", ridge,
+                     "--out", str(out)]) == 1
+        assert "ridge" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_identify_malformed_exits_1(self, tmp_path):
         path = tmp_path / "data.json"
@@ -308,6 +321,13 @@ class TestUsage:
 
     def test_missing_required_flag_exits_1(self):
         assert main(["extend", "--N", "8", "--out", "x"]) == 1
+
+    @pytest.mark.parametrize("flag", ["--tol", "--max-iter"])
+    def test_no_solver_knobs(self, tmp_path, band_file, flag):
+        out = tmp_path / "out"
+        assert main(["extend", "--band", str(band_file), "--N", "8", flag, "1",
+                     "--out", str(out)]) == 1
+        assert not out.exists()
 
 
 class TestJsonio:

@@ -50,6 +50,12 @@ class TestSufficientStatistics:
         with pytest.raises(cm.DimensionError):
             cm.sufficient_statistics(data, 3)
 
+    def test_overflow_names_the_realizations(self):
+        rng = np.random.default_rng(3)
+        data = cm.Dataset(1, 8, 4, 1e200 * rng.standard_normal((4, 8, 1)))
+        with pytest.raises(cm.DimensionError, match="realizations"):
+            cm.sufficient_statistics(data, 1)
+
     def test_circular_shift_invariance(self):
         rng = np.random.default_rng(10)
         Y = rng.standard_normal((4, 8, 1))
@@ -186,8 +192,18 @@ class TestIdentify:
         data = cm.Dataset(1, 8, 1, np.ones((1, 8, 1)))
         with pytest.raises(cm.DegenerateDataError):
             cm.identify(data, 1, ridge=2.9e-10)
-        with pytest.raises(cm.InfeasibleExtensionError):
+        # J + ridge*I completes it with smallest eigenvalue ridge, below the
+        # PD rule: neither outcome can be proven
+        assert np.linalg.eigvalsh(np.ones((8, 8)) + 3.1e-10 * np.eye(8)).min() > 0.0
+        with pytest.raises(cm.ConvergenceError) as err:
             cm.identify(data, 1, ridge=3.1e-10)
+        assert getattr(err.value, "certificate", None) is None
+
+    @pytest.mark.parametrize("ridge", [float("nan"), -5.0, float("inf"), -float("inf")])
+    def test_invalid_ridge(self, ridge):
+        data = cm.Dataset(1, 8, 1, np.ones((1, 8, 1)))
+        with pytest.raises(cm.DimensionError, match="ridge"):
+            cm.identify(data, 1, ridge=ridge)
 
     def test_ridge_rescues_degenerate_data(self):
         data = cm.Dataset(1, 8, 1, np.zeros((1, 8, 1)))
