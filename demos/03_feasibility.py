@@ -1,9 +1,10 @@
 """When does a band admit a positive circulant completion?
 
 Zero-padding a positive band onto a circle does not preserve
-positivity.  The constructive route runs the Levinson-Whittle recursion,
-extends the lags by the resulting AR model, and wraps the extension onto
-circles of growing size until every frequency block turns positive.
+positivity.  The constructive route reads the band's AR model off the
+eigendecomposition of its Toeplitz matrix T_n, extends the lags by that
+model, and wraps the extension onto circles of growing size until every
+frequency block turns positive.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ for N in (3, 5, 9):
     lo, _ = cm.spectral_bounds(wrapped)
     print(f"zero-padded completion at N={N}: smallest eigenvalue {lo:+.4f}")
 
-# Levinson-Whittle gives the AR extension of the lags
+# the AR model of T_n gives the extension of the lags
 lev = cm.block_levinson(band)
 print("\nAR coefficient:", lev.ar_coeffs.ravel(),
       " innovation variance:", lev.innovation.ravel())

@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _jsonio
-from .errors import DimensionError, NotPositiveDefiniteError, ReconstructionError
+from .errors import (DimensionError, InfeasibleBandError, NotPositiveDefiniteError,
+                     ReconstructionError)
 
 PD_TOL_FACTOR = 1e-10  # lambda_min must exceed PD_TOL_FACTOR * (1 + max spectral norm)
 IMAG_TOL = 1e-10       # largest tolerated imaginary residue, relative to block scale
@@ -350,6 +351,25 @@ def toeplitz_gram(band: CovBand, order: int | None = None) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape((n + 1) * m, (n + 1) * m)
 
 
+def _toeplitz_ar(band: CovBand) -> tuple[np.ndarray, np.ndarray]:
+    """The PD decision on T_n and the band's order-n forward AR model, from one eigh.
+
+    Raises InfeasibleBandError unless T_n passes the PD rule.  The last
+    block column of T_n^{-1}, in reversed block order, is X_j = A_j^T
+    Lambda^{-1} for the forward AR model A_0 = I, A_1..A_n with innovation
+    Lambda, so A_j^T = X_j X_0^{-1}.  Returns (X, AT), each (n+1, m, m).
+    """
+    w, V = np.linalg.eigh(_hermitian_part(toeplitz_gram(band)))
+    if not _pd(w):
+        raise InfeasibleBandError("infeasible band: T_n is not positive definite")
+    X = ((V / w) @ V[-band.m:].T).reshape(band.n + 1, band.m, band.m)[::-1]
+    return X, X @ np.linalg.inv(X[0])
+
+
 def is_strictly_positive(band: CovBand) -> bool:
     """Whether the block-Toeplitz matrix of the band is positive definite."""
-    return bool(_pd(np.linalg.eigvalsh(_hermitian_part(toeplitz_gram(band)))))
+    try:
+        _toeplitz_ar(band)
+    except InfeasibleBandError:
+        return False
+    return True

@@ -1,10 +1,10 @@
 """Constructive feasibility of the positive circulant band extension.
 
-The multichannel Levinson-Whittle recursion turns a positive band into a
-matrix AR model; running that model forward extends the lag sequence so
-that every finite Toeplitz section stays positive.  Wrapping the extended
-sequence onto a circle of size N and testing the frequency blocks gives a
-concrete certificate: for N large enough the wrap is positive definite.
+A positive band's order-n matrix AR model, read off the eigh(T_n) that
+decides positivity, extends the lag sequence so that every finite
+Toeplitz section stays positive.  Wrapping the extended sequence onto a
+circle of size N and testing the frequency blocks gives a concrete
+certificate: for N large enough the wrap is positive definite.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockcirc import (BlockCirculant, CovBand, _hermitian_part, _pd, _sequence,
+from .blockcirc import (BlockCirculant, CovBand, _sequence, _toeplitz_ar,
                         pd_tolerance, spectral_bounds)
-from .errors import DimensionError, HorizonExhaustedError, InfeasibleBandError
+from .errors import DimensionError, HorizonExhaustedError
 
 DEFAULT_HORIZON_FACTOR = 16  # default N_max = 16 * (2n + 1)
 
@@ -43,37 +43,17 @@ class FeasibilityCertificate:
     min_eig_trace: dict
 
 
-def _check_pd(mat: np.ndarray, context: str) -> None:
-    if not _pd(np.linalg.eigvalsh(_hermitian_part(mat))):
-        raise InfeasibleBandError(f"infeasible band: {context} not positive definite")
-
-
 def block_levinson(band: CovBand) -> LevinsonResult:
-    """Multichannel Levinson-Whittle recursion on the band's Toeplitz matrix.
+    """Forward AR model of order n of the band, read off eigh(T_n).
 
-    Raises InfeasibleBandError as soon as a forward or backward innovation
-    loses positive definiteness, which happens iff T_n is not PD.
+    Raises InfeasibleBandError when T_n is not positive definite, by the
+    same rule and from the same eigendecomposition as solve's gate.  The
+    innovation is Lambda = S_0 + sum_j A_j S_j^T, symmetrized.
     """
-    m, n = band.m, band.n
-    sigma = band.sigma
-    _check_pd(sigma[0], "lag-0 block")
-    lam_f = sigma[0].copy()
-    lam_b = sigma[0].copy()
-    A: list[np.ndarray] = []
-    B: list[np.ndarray] = []
-    for p in range(n):
-        delta = sigma[p + 1] + sum(A[j] @ sigma[p - j] for j in range(p))
-        kf = -np.linalg.solve(lam_b.T, delta.T).T   # kf = -delta @ inv(lam_b)
-        kb = -np.linalg.solve(lam_f.T, delta).T     # kb = -delta.T @ inv(lam_f)
-        A, B = ([A[j] + kf @ B[p - 1 - j] for j in range(p)] + [kf],
-                [B[j] + kb @ A[p - 1 - j] for j in range(p)] + [kb])
-        lam_f, lam_b = (lam_f - delta @ np.linalg.solve(lam_b, delta.T),
-                        lam_b - delta.T @ np.linalg.solve(lam_f, delta))
-        _check_pd(lam_f, f"order-{p + 1} forward innovation")
-        _check_pd(lam_b, f"order-{p + 1} backward innovation")
-
-    coeffs = np.array(A).reshape(n, m, m) if n else np.zeros((0, m, m))
-    return LevinsonResult(m, n, coeffs, 0.5 * (lam_f + lam_f.T))
+    _, AT = _toeplitz_ar(band)
+    A = AT[1:].swapaxes(1, 2)
+    lam = band.sigma[0] + np.einsum("jab,jcb->ac", A, band.sigma[1:])
+    return LevinsonResult(band.m, band.n, A, 0.5 * (lam + lam.T))
 
 
 def ar_extend(lev: LevinsonResult, band: CovBand, count: int) -> np.ndarray:

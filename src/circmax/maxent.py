@@ -45,11 +45,10 @@ import numpy as np
 from . import _jsonio
 from .blockcirc import (BlockCirculant, CovBand, _from_half_spectrum,
                         _hermitian_part, _lags, _multiplicities, _pd,
-                        assemble_banded, inverse, logdet, pd_tolerance,
-                        toeplitz_gram)
+                        _toeplitz_ar, assemble_banded, inverse, logdet,
+                        pd_tolerance)
 from .errors import (ConvergenceError, DimensionError, HorizonExhaustedError,
-                     InfeasibleBandError, InfeasibleExtensionError,
-                     NotPositiveDefiniteError)
+                     InfeasibleExtensionError, NotPositiveDefiniteError)
 from .feasibility import feasibility_certificate
 
 HESSIAN_DIM_LIMIT = 2000
@@ -189,17 +188,13 @@ def _logdet_from_eigs(w: np.ndarray, mult: np.ndarray) -> float:
     return float((mult * np.log(w).sum(axis=1)).sum())
 
 
-def _ar_precision_blocks(w: np.ndarray, V: np.ndarray, m: int, n: int) -> np.ndarray:
+def _ar_precision_blocks(X: np.ndarray, AT: np.ndarray, n: int) -> np.ndarray:
     """Lag blocks B_k = sum_j A_j^T Lambda^{-1} A_{j+k} of the band's AR model.
 
-    (w, V) is the eigendecomposition of T_n.  The last block column of
-    T_n^{-1}, in reversed block order, is X_j = A_j^T Lambda^{-1} for the
-    order-n forward AR model A_0 = I, A_1..A_n with innovation Lambda, so
-    A_j^T = X_j X_0^{-1} and B_k = sum_j A_j^T X_{j+k}^T.  The banded
-    circulant with these blocks is A(z)^* Lambda^{-1} A(z) sampled on Z_N.
+    (X, AT) is the readout of blockcirc._toeplitz_ar: X_j = A_j^T Lambda^{-1}
+    and AT_j = A_j^T, so B_k = sum_j A_j^T X_{j+k}^T.  The banded circulant
+    with these blocks is A(z)^* Lambda^{-1} A(z) sampled on Z_N.
     """
-    X = ((V / w) @ V[-m:].T).reshape(n + 1, m, m)[::-1]
-    AT = X @ np.linalg.inv(X[0])
     return np.array([np.einsum("jab,jcb->ac", AT[:n + 1 - k], X[k:])
                      for k in range(n + 1)])
 
@@ -285,10 +280,8 @@ def solve(band: CovBand, N: int, init=None) -> ExtensionResult:
         raise DimensionError(
             f"band dimension m(m+1)/2 + n m^2 = {dim} exceeds the Newton limit "
             f"{HESSIAN_DIM_LIMIT}")
-    # is_strictly_positive's rule; the eigenvectors give the AR start
-    gram_w, gram_V = np.linalg.eigh(_hermitian_part(toeplitz_gram(band)))
-    if not _pd(gram_w):
-        raise InfeasibleBandError("infeasible band: T_n is not positive definite")
+    # the one PD decision on T_n; its AR model gives the Newton start
+    ar_X, ar_AT = _toeplitz_ar(band)
 
     # normalize to unit lag-0 scale; the problem is exactly scale-equivariant
     scale = float(np.linalg.eigvalsh(band.sigma[0]).max())
@@ -301,7 +294,7 @@ def solve(band: CovBand, N: int, init=None) -> ExtensionResult:
     lag_scale = 1.0 + np.linalg.norm(wband.sigma, axis=(1, 2))
 
     if init is None:
-        blocks0 = scale * _ar_precision_blocks(gram_w, gram_V, m, n)
+        blocks0 = scale * _ar_precision_blocks(ar_X, ar_AT, n)
     else:
         if init.m != m or init.n != n or init.N != N:
             raise DimensionError("initial model dimensions differ")

@@ -81,6 +81,28 @@ def check_infeasibility_certificate(cert, sigma, N):
     assert abs(pairing - cert["pairing"]) <= 1e-12 * N * np.abs(B).sum() * np.abs(S).max()
 
 
+def dense_ar_oracle(band):
+    """Forward AR model (A_1..A_n, Lambda) from one dense solve of the normal equations.
+
+    S_k + sum_j A_j S_{k-j} = 0 for k = 1..n, transposed: block (i, j) of
+    the system is S_{j-i} (S_{-d} = S_d^T), the unknowns are A_{j+1}^T and
+    the right-hand side is -S_{i+1}^T.  Lambda = S_0 + sum_j A_j S_j^T.
+    """
+    m, n = band.m, band.n
+    S = np.asarray(band.sigma)
+    G = np.zeros((n * m, n * m))
+    rhs = np.zeros((n * m, m))
+    for i in range(n):
+        rhs[i * m:(i + 1) * m] = S[i + 1].T
+        for j in range(n):
+            d = j - i
+            G[i * m:(i + 1) * m, j * m:(j + 1) * m] = S[d] if d >= 0 else S[-d].T
+    X = np.linalg.solve(G, -rhs)
+    A = np.array([X[j * m:(j + 1) * m].T for j in range(n)]).reshape(n, m, m)
+    lam = S[0] + sum(A[j - 1] @ S[j].T for j in range(1, n + 1))
+    return A, 0.5 * (lam + lam.T)
+
+
 def dense_toeplitz_oracle(lags, size):
     """Dense block-Toeplitz matrix with (i, j) block S_{i-j}, S_{-k} = S_k^T."""
     lags = np.asarray(lags, dtype=float)

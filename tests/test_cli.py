@@ -190,6 +190,16 @@ class TestFeasibility:
         _jsonio.dump(cm.CovBand(1, 1, blocks(1.0, 1.5)).to_json_dict(), path)
         assert main(["feasibility", "--band", str(path)]) == 2
 
+    @pytest.mark.parametrize("rho", [1.0, -1.0])
+    def test_near_tolerance_band_names_t_n(self, tmp_path, capsys, rho):
+        # 1 - |r| is just below the PD rule's 3e-10: T_n fails it, and so
+        # does every wrap, so a larger --n-max cannot help
+        path = tmp_path / "band.json"
+        _jsonio.dump(cm.CovBand(1, 1, blocks(1.0, rho * (1 - 2.9e-10))).to_json_dict(), path)
+        assert main(["feasibility", "--band", str(path)]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"error": "infeasible band: T_n is not positive definite"}
+
 
 class TestVerify:
     def test_valid_pair(self, tmp_path, model_file, capsys):

@@ -3,7 +3,7 @@ import pytest
 
 import circmax as cm
 from circmax import feasibility
-from conftest import dense_toeplitz_oracle, random_stationary_band
+from conftest import dense_ar_oracle, dense_toeplitz_oracle, random_stationary_band
 
 
 def blocks(*vals):
@@ -38,26 +38,19 @@ class TestBlockLevinson:
         assert abs(lev.ar_coeffs[0, 0, 0] + 0.5) < 1e-14
         assert abs(lev.innovation[0, 0] - 0.75) < 1e-14
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_dense_normal_equations(self, seed):
-        rng = np.random.default_rng(seed)
-        m, n = 2, 2
-        band = random_stationary_band(rng, m, n)
-        lev = cm.block_levinson(band)
-        # dense solve of [A_1 .. A_n] [toeplitz] = -[S_1 .. S_n] layout
-        G = np.zeros((n * m, n * m))
-        rhs = np.zeros((n * m, m))
-        for i in range(n):
-            rhs[i * m:(i + 1) * m] = band.sigma[i + 1].T
-            for j in range(n):
-                d = j - i
-                blk = band.sigma[d] if d >= 0 else band.sigma[-d].T
-                G[i * m:(i + 1) * m, j * m:(j + 1) * m] = blk
-        X = np.linalg.solve(G, -rhs)
-        dense_A = np.array([X[j * m:(j + 1) * m].T for j in range(n)])
-        assert np.abs(lev.ar_coeffs - dense_A).max() < 1e-10
-        assert normal_equation_residual(lev, band) <= 1e-8 * band.norm()
-        assert np.linalg.eigvalsh(lev.innovation).min() > 0
+    @pytest.mark.parametrize("n", range(6))
+    def test_matches_dense_normal_equations(self, n):
+        rng = np.random.default_rng(n)
+        for m in (1, 2, 3):
+            band = random_stationary_band(rng, m, n)
+            lev = cm.block_levinson(band)
+            dense_A, dense_lam = dense_ar_oracle(band)
+            assert lev.ar_coeffs.shape == (n, m, m)
+            np.testing.assert_allclose(lev.ar_coeffs, dense_A, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(lev.innovation, dense_lam, rtol=0,
+                                       atol=1e-10 * band.norm())
+            assert normal_equation_residual(lev, band) <= 1e-8 * band.norm()
+            assert np.linalg.eigvalsh(lev.innovation).min() > 0
 
     def test_infeasible_band(self):
         with pytest.raises(cm.InfeasibleBandError):

@@ -6,10 +6,12 @@ import pytest
 
 import circmax as cm
 import circmax.maxent as maxent
+from circmax.blockcirc import _toeplitz_ar
 from circmax.cli import main
 from circmax.maxent import _BandCoords
 from conftest import (bruteforce_scalar_extension, check_infeasibility_certificate,
-                      random_model, random_stationary_band, scalar_circulant_dense)
+                      dense_ar_oracle, random_model, random_stationary_band,
+                      scalar_circulant_dense)
 
 
 def blocks(*vals):
@@ -364,21 +366,21 @@ class TestStart:
     """Newton starts at the band's order-n AR model A(z)^* Lambda^{-1} A(z)."""
 
     @pytest.mark.parametrize("m", [1, 2, 3])
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
     def test_start_matches_levinson_oracle(self, m, n):
+        # the oracle solves the block normal equations that Levinson solves,
+        # with one dense solve
         rng = np.random.default_rng(20 + 10 * m + n)
         # a banded model's lags are not symmetric, so a transposed product or
         # the first block column of T_n^{-1} gives other blocks
         M = random_model(rng, m, n, 64)
         band = cm.inverse(M.assembled()).band(n)
-        lev = cm.block_levinson(band)
-        A = np.concatenate([np.eye(m)[None], lev.ar_coeffs])
-        L_inv = np.linalg.inv(lev.innovation)
+        ar_coeffs, innovation = dense_ar_oracle(band)
+        A = np.concatenate([np.eye(m)[None], ar_coeffs])
+        L_inv = np.linalg.inv(innovation)
         want = np.array([sum(A[j].T @ L_inv @ A[j + k] for j in range(n + 1 - k))
                          for k in range(n + 1)])
-        T = cm.toeplitz_gram(band)
-        w, V = np.linalg.eigh(0.5 * (T + T.T))
-        got = maxent._ar_precision_blocks(w, V, m, n)
+        got = maxent._ar_precision_blocks(*_toeplitz_ar(band), n)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("N,iterations", [(32, 1), (256, 0)])
@@ -445,6 +447,11 @@ class TestStart:
         assert not cm.is_strictly_positive(outside)
         with pytest.raises(cm.InfeasibleBandError):
             cm.solve(outside, 8)
+        # T_n is a principal block of every wrap, so no horizon can help
+        with pytest.raises(cm.InfeasibleBandError):
+            cm.block_levinson(outside)
+        with pytest.raises(cm.InfeasibleBandError):
+            cm.feasibility_certificate(outside)
         inside = cm.CovBand(1, 1, blocks(1.0, rho * (1 - 3.1e-10)))
         assert cm.is_strictly_positive(inside)
         # (1-eps) v v^T + eps I, v_t = rho^t, completes it with smallest
@@ -456,6 +463,32 @@ class TestStart:
         with pytest.raises(cm.ConvergenceError) as err:
             cm.solve(inside, 8)
         assert getattr(err.value, "certificate", None) is None
+
+    def test_near_threshold_decisions_agree(self, monkeypatch):
+        # lambda_min(T_n) placed within 3 PD tolerances of the threshold; with
+        # no Newton steps, solve stops right after its T_n gate
+        monkeypatch.setattr(maxent, "MAX_ITER", 0)
+        rng = np.random.default_rng(5)
+        decisions = []
+        for _ in range(200):
+            m, n = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+            base = random_stationary_band(rng, m, n)
+            w = np.linalg.eigvalsh(cm.toeplitz_gram(base))
+            sigma = np.array(base.sigma)
+            tol = 1e-10 * (1.0 + np.abs(w).max())
+            sigma[0] += (rng.uniform(-3.0, 3.0) * tol - w[0]) * np.eye(m)
+            band = cm.CovBand(m, n, sigma)
+            pd = cm.is_strictly_positive(band)
+            with pytest.raises(cm.CircmaxError) as err:
+                cm.solve(band, 2 * n + 1)
+            assert isinstance(err.value, cm.InfeasibleBandError) == (not pd)
+            try:
+                cm.block_levinson(band)
+                assert pd
+            except cm.InfeasibleBandError:
+                assert not pd
+            decisions.append(pd)
+        assert 0 < sum(decisions) < len(decisions)
 
 
 class TestEntropy:
