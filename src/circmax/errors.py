@@ -59,9 +59,10 @@ class InvalidModelError(CircmaxError):
 class ConvergenceError(CircmaxError):
     """Solver stopped unproven: neither converged nor certified infeasible.
 
-    Raised when the line search collapses or the iteration limit is hit
-    before an infeasibility certificate appears; near the PD rule's
-    tolerance neither outcome can be proven.  Carries the diagnostics record.
+    Raised when a damped Newton step fails the PD guard, the Newton system
+    is singular or gives no descent, or the iteration limit is hit, before
+    an infeasibility certificate appears; near the PD rule's tolerance
+    neither outcome can be proven.  Carries the diagnostics record.
     """
 
     def __init__(self, message, diagnostics=None):

@@ -13,9 +13,12 @@ only the given lags because M is banded).  At the minimum the band of
 M^{-1} reproduces the data, so Sigma_opt = M^{-1} solves the extension
 problem and M itself is the reciprocal model of the data.
 
-The iteration is a damped Newton method in the band coordinates with a
-positivity-guarded Armijo backtracking line search.  It starts at the
-band's own order-n AR model, M = A(z)^* Lambda^{-1} A(z), read off the
+The iteration is damped Newton in the band coordinates, with no line
+search: f is self-concordant, so the step t = 1/(1 + lambda), lambda the
+Newton decrement, stays PD in exact arithmetic and lowers f by at least
+lambda - log(1 + lambda); once lambda < 1/4, full steps converge
+quadratically (Boyd & Vandenberghe, sec. 9.6).  It starts at the band's
+own order-n AR model, M = A(z)^* Lambda^{-1} A(z), read off the
 same eigendecomposition of T_n that decides whether the band is
 positive; the band of its inverse misses the data only by aliasing,
 which decays geometrically in N, so large circles converge in 0-3 steps.
@@ -54,9 +57,6 @@ from .feasibility import feasibility_certificate
 HESSIAN_DIM_LIMIT = 2000
 GRAD_TOL = 1e-10  # relative gradient at which a solve counts as converged
 MAX_ITER = 200
-COLLAPSE_STEP = 1e-14
-ARMIJO_C = 1e-4  # sufficient-decrease fraction of the line search
-BACKTRACK_FACTOR = 0.5
 START_MARGIN = 1e4  # the start's smallest eigenvalue, in PD guard tolerances
 COORD_CACHE_SIZE = 64  # (m, n, N) shapes whose band coordinates are kept
 
@@ -68,13 +68,15 @@ class SolveDiagnostics:
     grad_norm: float
     band_match: float
     converged: bool
+    decrements: list  # Newton decrement lambda of each step taken
 
     def to_json_dict(self) -> dict:
         return {"iterations": self.iterations,
                 "objective_trace": list(self.objective_trace),
                 "grad_norm": self.grad_norm,
                 "band_match": self.band_match,
-                "converged": self.converged}
+                "converged": self.converged,
+                "decrements": list(self.decrements)}
 
 
 @dataclass(frozen=True)
@@ -262,13 +264,17 @@ def solve(band: CovBand, N: int, init=None) -> ExtensionResult:
     starts at init, or else at the band's AR model, lifted on M_0 where
     its spectrum comes within START_MARGIN guard tolerances of singular.
 
+    Each step moves by t = 1/(1 + lambda), or t = 1 once lambda < 1/4,
+    with lambda = sqrt(-g.s) the Newton decrement (diagnostics.decrements),
+    so at most (f_0 - f*)/(1/4 - log(5/4)) steps are damped.
+
     Every iterate M is PD and pairs with every completion Sigma of the
     band to the same number p.x, so an iterate with p.x <= 0 proves that
     no PD completion exists (Boyd & Vandenberghe, Convex Optimization,
     sec. 5.8).  solve checks this before each Newton step and raises
     InfeasibleExtensionError carrying M's lag blocks and p.x; a solve
-    that stops short of both convergence and such a certificate raises
-    ConvergenceError.
+    that stops short of both (a step fails the PD guard, H gives no
+    descent direction or the iteration limit is hit) raises ConvergenceError.
     """
     from .reciprocal import ReciprocalModel
 
@@ -319,7 +325,7 @@ def solve(band: CovBand, N: int, init=None) -> ExtensionResult:
     trace = [f + f_shift]
     grad_norm_rel = math.inf
     band_match = math.inf
-    collapsed = False
+    decrements = []
 
     for it in range(1, MAX_ITER + 1):
         psi_inv = np.linalg.inv(psi)
@@ -330,14 +336,16 @@ def solve(band: CovBand, N: int, init=None) -> ExtensionResult:
         if grad_norm_rel <= GRAD_TOL and band_match <= 10.0 * GRAD_TOL:
             model = ReciprocalModel(m, n, N, coords.blocks_of(x) / scale)
             sigma_opt = _from_half_spectrum(m, N, scale * psi_inv)
-            diag = SolveDiagnostics(it - 1, trace, grad_norm_rel, band_match, True)
+            diag = SolveDiagnostics(it - 1, trace, grad_norm_rel, band_match, True,
+                                    decrements)
             return ExtensionResult(sigma_opt, model, diag)
 
         px_abs = float(np.abs(p) @ np.abs(x))
         # p.x = <M, Sigma> for every completion Sigma, and M is PD: p.x <= 0
         # (beyond its rounding) proves that no completion is PD
         if px <= -1e-14 * px_abs:
-            diag = SolveDiagnostics(it - 1, trace, grad_norm_rel, band_match, False)
+            diag = SolveDiagnostics(it - 1, trace, grad_norm_rel, band_match, False,
+                                    decrements)
             raise InfeasibleExtensionError(
                 f"infeasible: no positive completion exists at N={N} "
                 f"(a positive definite dual iterate pairs with the band to {px:.3e})",
@@ -345,51 +353,35 @@ def solve(band: CovBand, N: int, init=None) -> ExtensionResult:
                 diagnostics=diag)
 
         H = coords.hessian(psi_inv)
-        H = 0.5 * (H + H.T)
         try:
-            s = np.linalg.solve(H, -g)
+            s = np.linalg.solve(0.5 * (H + H.T), -g)
         except np.linalg.LinAlgError:
-            s = -g
-        if g @ s >= 0.0:
-            s = -g
-
+            stall = "the Newton system is singular"
+            break
+        lam2 = -float(g @ s)
+        if not lam2 > 0.0:
+            stall = "the Newton direction is not a descent direction"
+            break
+        lam = math.sqrt(lam2)
+        # the damped step stays in the Dikin ellipsoid, so M stays PD
+        t = 1.0 if lam < 0.25 else 1.0 / (1.0 + lam)
         s_psi = coords.psi_of(s)
-        gs = float(g @ s)
-        # below this, objective comparisons drown in rounding noise; f = p.x -
-        # log det M cancels, so the noise scales with the terms, not with f
-        noise_floor = 1e-14 * (1.0 + abs(f) + px_abs)
-        endgame = -gs <= noise_floor
-        t = 1.0
-        while True:
-            trial_psi = psi + t * s_psi
-            w_t = np.linalg.eigvalsh(_hermitian_part(trial_psi))
-            if _pd(w_t).all():
-                px_t = float(p @ (x + t * s))
-                f_t = px_t - _logdet_from_eigs(w_t, coords.mult)
-                # quadratic endgame: sufficient-decrease test is meaningless
-                # at machine precision, the PD guard alone gates the step
-                if endgame and f_t <= f + noise_floor:
-                    break
-                if f_t <= f + ARMIJO_C * t * gs:
-                    break
-            t *= BACKTRACK_FACTOR
-            if t < COLLAPSE_STEP:
-                collapsed = True
-                break
-        if not collapsed and not np.any(t * s):
-            collapsed = True
-        if collapsed:
+        psi_t = psi + t * s_psi
+        w = np.linalg.eigvalsh(_hermitian_part(psi_t))
+        if not _pd(w).all():
+            stall = f"the step at Newton decrement {lam:.3e} failed the PD guard"
             break
         x = x + t * s
-        psi = psi + t * s_psi
-        px, f = px_t, f_t
+        psi = psi_t
+        px = float(p @ x)
+        f = px - _logdet_from_eigs(w, coords.mult)
         trace.append(f + f_shift)
+        decrements.append(lam)
+    else:
+        stall = f"the iteration limit {MAX_ITER} was reached"
 
-    diag = SolveDiagnostics(len(trace) - 1, trace, grad_norm_rel, band_match, False)
-    if collapsed:
-        raise ConvergenceError(
-            "no convergence: line search collapsed with no infeasibility certificate",
-            diagnostics=diag)
-    raise ConvergenceError(
-        f"no convergence within {MAX_ITER} iterations "
-        f"(relative gradient {grad_norm_rel:.3e})", diagnostics=diag)
+    diag = SolveDiagnostics(len(trace) - 1, trace, grad_norm_rel, band_match, False,
+                            decrements)
+    raise ConvergenceError(f"no convergence: {stall} (relative gradient "
+                           f"{grad_norm_rel:.3e}), with no infeasibility certificate",
+                           diagnostics=diag)

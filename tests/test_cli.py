@@ -40,6 +40,7 @@ class TestExtend:
         model = cm.ReciprocalModel.from_json_dict(_jsonio.load(out / "model.json"))
         diag = _jsonio.load(out / "diagnostics.json")
         assert diag["converged"] is True
+        assert len(diag["decrements"]) == diag["iterations"] > 0
         m0, m1, m2 = model.M_blocks.ravel()
         x3, x4 = sigma.lag(3)[0, 0], sigma.lag(4)[0, 0]
         s0, s1, s2 = 1.0, 0.5, 0.2
@@ -84,6 +85,7 @@ class TestExtend:
                      "--out", str(out)]) == 2
         diag = _jsonio.load(out / "diagnostics.json")
         assert diag["certificate"]["smallest_feasible_N"] == 4
+        assert len(diag["diagnostics"]["decrements"]) == diag["diagnostics"]["iterations"]
         check_infeasibility_certificate(diag["certificate"], blocks(1.0, -0.6), 3)
 
     def test_malformed_json_exits_1(self, tmp_path):

@@ -287,6 +287,7 @@ class TestSolve:
         diag = err.value.diagnostics
         assert diag.iterations == 2
         assert len(diag.objective_trace) == 3
+        assert len(diag.decrements) == diag.iterations
         assert not diag.converged
 
     def test_band_dimension_limit(self, monkeypatch, tmp_path):
@@ -313,6 +314,47 @@ class TestSolve:
         assert trace[-1] < trace[0]
         resolvable = [(a, b) for a, b in zip(trace, trace[1:]) if abs(a - b) > noise]
         assert all(b < a for a, b in resolvable)
+
+    def test_damped_step_guarantees(self):
+        # f is self-concordant: a step at decrement lam >= 1/4 lowers it by at
+        # least lam - log(1 + lam) >= 1/4 - log(5/4), and full steps below 1/4
+        # converge quadratically (Boyd & Vandenberghe, sec. 9.6.4)
+        gamma = 0.25 - np.log(1.25)
+        rng = np.random.default_rng(22)
+        damped, feasible, infeasible = 0, 0, 0
+        for _ in range(20):
+            m, n = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+            band = random_stationary_band(rng, m, n)
+            # below the AR wrap's first PD circle, solves may be infeasible
+            for N in range(2 * n + 1, cm.feasibility_certificate(band).N + 3):
+                try:
+                    diag = cm.solve(band, N).diagnostics
+                except cm.InfeasibleExtensionError as exc:
+                    diag = exc.diagnostics
+                trace, lams = diag.objective_trace, diag.decrements
+                assert len(lams) == diag.iterations == len(trace) - 1
+                if diag.converged:
+                    feasible += 1
+                    assert diag.iterations <= (trace[0] - trace[-1]) / gamma + 6
+                else:
+                    infeasible += 1
+                for f0, f1, lam in zip(trace, trace[1:], lams):
+                    if lam >= 0.25:
+                        damped += 1
+                        assert f0 - f1 >= lam - np.log1p(lam) - 1e-12 * (1 + abs(f1))
+        assert damped > 400 and feasible > 150 and infeasible > 20
+
+    @pytest.mark.parametrize("b0,lam,t", [(2.0, 4.0, 0.2), (1.125, 0.5, 2 / 3),
+                                          (1.05, 0.2, 1.0)])
+    def test_step_rule_in_closed_form(self, b0, lam, t):
+        # white band S_0 = 1 from M = b0 I: f(b) = N (b - log b), so the Newton
+        # step is b0 - b0^2 and lam = sqrt(N) |b0 - 1|; t = 1 only below 1/4
+        N = 16
+        init = cm.ReciprocalModel(1, 0, N, blocks(b0))
+        diag = cm.solve(cm.CovBand(1, 0, blocks(1.0)), N, init=init).diagnostics
+        b1 = b0 + t * (b0 - b0 ** 2)
+        assert abs(diag.decrements[0] - lam) <= 1e-12 * lam
+        assert abs(diag.objective_trace[1] - N * (b1 - np.log(b1))) <= 1e-12 * N
 
     def test_uniqueness_from_different_starts(self):
         rng = np.random.default_rng(14)
@@ -425,8 +467,8 @@ class TestStart:
 
     @pytest.mark.parametrize("m,n", [(2, 1), (2, 2), (3, 1), (3, 2)])
     def test_near_unit_root_var_band_converges(self, m, n):
-        # optimum near the PD guard: the endgame must see through the
-        # rounding of the cancelling terms of the objective
+        # optimum near the PD guard, where the cancelling terms of the
+        # objective round coarsely: the damped steps must still get there
         c, s = np.cos(0.3), np.sin(0.3)
         Q = np.eye(m)
         Q[:2, :2] = [[c, -s], [s, c]]
