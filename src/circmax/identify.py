@@ -47,16 +47,20 @@ def sufficient_statistics(data: Dataset, n: int) -> SufficientStats:
     """Circular sample covariances up to lag n.
 
     S_hat_k = (1/(N*T)) sum_t sum_s y_t((s+k) mod N) y_t(s)^T, the lag-0
-    estimate symmetrized.  Realizations are accumulated in a fixed order.
+    estimate symmetrized.  Reads the data as one contiguous (N, m, T) array
+    (no copy for sample's output) and sums each lag's terms s < N-k and
+    wrapped s >= N-k as two products over the contiguous slices.
     """
-    if 2 * n >= data.N:
-        raise DimensionError(f"lag order {n} is not below N/2 for N={data.N}")
-    Y = np.asarray(data.realizations)
-    scale = 1.0 / (data.N * data.T)
+    N = data.N
+    if 2 * n >= N:
+        raise DimensionError(f"lag order {n} is not below N/2 for N={N}")
+    Y = np.ascontiguousarray(data.realizations.transpose(1, 2, 0))
+    scale = 1.0 / (N * data.T)
     out = np.empty((n + 1, data.m, data.m))
-    for k in range(n + 1):
-        acc = np.einsum("tsi,tsj->ij", np.roll(Y, -k, axis=1), Y)
-        out[k] = scale * acc
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        for k in range(n + 1):
+            out[k] = scale * (np.einsum("sit,sjt->ij", Y[k:], Y[:N - k])
+                              + np.einsum("sit,sjt->ij", Y[:k], Y[N - k:]))
     if not np.isfinite(out).all():
         raise DimensionError("realizations too large: their sample covariances overflow")
     out[0] = 0.5 * (out[0] + out[0].T)

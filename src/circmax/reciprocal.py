@@ -212,7 +212,9 @@ def sample(model: ReciprocalModel, T: int, seed: int) -> Dataset:
     """T independent zero-mean Gaussian periods with covariance M_N^{-1}.
 
     Colors white noise with the frequency-wise Hermitian square root of
-    the covariance spectrum; output is a deterministic function of seed.
+    the covariance spectrum, one (m, m) @ (m, T) product per frequency.
+    Output is a deterministic function of seed, of shape (T, N, m) and
+    laid out in memory as (N, m, T), realization index fastest.
     """
     if T < 1:
         raise DimensionError("need T >= 1")
@@ -223,8 +225,8 @@ def sample(model: ReciprocalModel, T: int, seed: int) -> Dataset:
         raise InvalidModelError("invalid model: assembled matrix not PD")
     # Hermitian square root of each covariance block Psi_l(C) = Psi_l(M)^{-1}
     roots = (V / np.sqrt(w[:, None, :])) @ V.conj().swapaxes(1, 2)
-    rng = np.random.default_rng(seed)
-    Z = rng.standard_normal((T, N, m))
-    # rfft(Z) holds the spectrum at frequency -l, hence the conjugate roots
-    Zf = np.einsum("lij,tlj->tli", roots.conj(), np.fft.rfft(Z, axis=1))
-    return Dataset(m, N, T, np.fft.irfft(Zf, n=N, axis=1))
+    # the rfft of the noise holds its spectrum at frequency -l, hence the
+    # conjugate roots; the normals are freed once transformed
+    Zf = np.fft.rfft(np.random.default_rng(seed).standard_normal((T, N, m)), axis=1)
+    Zf = roots.conj() @ Zf.transpose(1, 2, 0)
+    return Dataset(m, N, T, np.fft.irfft(Zf, n=N, axis=0).transpose(2, 0, 1))

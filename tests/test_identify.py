@@ -50,11 +50,37 @@ class TestSufficientStatistics:
         with pytest.raises(cm.DimensionError):
             cm.sufficient_statistics(data, 3)
 
-    def test_overflow_names_the_realizations(self):
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 2)])
+    def test_overflow_names_the_realizations(self, m, n):
         rng = np.random.default_rng(3)
-        data = cm.Dataset(1, 8, 4, 1e200 * rng.standard_normal((4, 8, 1)))
+        data = cm.Dataset(m, 8, 4, 1e200 * rng.standard_normal((4, 8, m)))
         with pytest.raises(cm.DimensionError, match="realizations"):
-            cm.sufficient_statistics(data, 1)
+            cm.sufficient_statistics(data, n)
+        # the lag-1 sum split at the wrap: -inf + inf (alternating signs
+        # at odd N) and two finite halves whose sum overflows
+        alternating = 1e200 * (-1.0) ** np.arange(7 * m).reshape(1, 7, m)
+        for Y in (alternating, np.full((1, 3, m), 8.4e153)):
+            with pytest.raises(cm.DimensionError, match="realizations"):
+                cm.sufficient_statistics(cm.Dataset(m, Y.shape[1], 1, Y), 1)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_every_memory_layout(self, m, n):
+        # JSON input is C-ordered, sample's output realization-fastest; a
+        # (m, T, N) layout and a strided view take the copying path
+        rng = np.random.default_rng(10 * m + n)
+        for N in (2 * n + 1, 2 * n + 4):
+            T = int(rng.integers(1, 5))
+            Y = rng.standard_normal((T, N, m))
+            want = [naive_circular_covariance(Y, k) for k in range(n + 1)]
+            want[0] = 0.5 * (want[0] + want[0].T)
+            layouts = [Y, np.ascontiguousarray(Y.transpose(1, 2, 0)).transpose(2, 0, 1),
+                       np.ascontiguousarray(Y.transpose(2, 0, 1)).transpose(1, 2, 0),
+                       np.repeat(Y, 2, axis=1)[:, ::2]]
+            for Y_laid_out in layouts:
+                assert np.array_equal(Y_laid_out, Y)
+                stats = cm.sufficient_statistics(cm.Dataset(m, N, T, Y_laid_out), n)
+                assert np.abs(stats.sigma_hat - want).max() <= 1e-12
 
     def test_circular_shift_invariance(self):
         rng = np.random.default_rng(10)

@@ -275,13 +275,24 @@ class TestSample:
             cm.Dataset(1, 4, 2, Y)
 
     @pytest.mark.parametrize("m,n,N", [(1, 0, 1), (1, 1, 3), (1, 2, 8), (2, 0, 2),
-                                       (2, 1, 7), (2, 2, 5), (3, 1, 10), (3, 3, 7)])
+                                       (2, 1, 7), (2, 2, 5), (3, 1, 10), (3, 3, 7),
+                                       (5, 2, 9)])
     def test_matches_per_frequency_oracle(self, m, n, N):
         rng = np.random.default_rng(100 * m + 10 * n + N)
         model = random_model(rng, m, n, N)
-        want = sample_oracle(model, 6, seed=N)
-        got = cm.sample(model, 6, seed=N).realizations
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        for T in (6, 1):  # T = 1 colors with (m, m) @ (m, 1) products
+            want = sample_oracle(model, T, seed=N)
+            got = cm.sample(model, T, seed=N).realizations
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("m,T", [(1, 1), (1, 5), (2, 1), (2, 4), (3, 6)])
+    def test_realizations_are_read_only_and_realization_fastest(self, m, T):
+        model = random_model(np.random.default_rng(m), m, 1, 7)
+        Y = cm.sample(model, T, seed=T).realizations
+        assert Y.shape == (T, 7, m) and not Y.flags.writeable
+        # sufficient_statistics reads this (N, m, T) view without a copy
+        assert Y.transpose(1, 2, 0).flags.c_contiguous
+        assert np.shares_memory(np.ascontiguousarray(Y.transpose(1, 2, 0)), Y)
 
 
 class TestJson:
@@ -293,7 +304,8 @@ class TestJson:
         assert (back.m, back.n, back.N) == (model.m, model.n, model.N)
 
     def test_dataset_round_trip(self):
-        model = cm.ReciprocalModel(1, 1, 6, blocks(1.0, 0.3))
+        model = random_model(np.random.default_rng(4), 2, 1, 6)
         data = cm.sample(model, 4, seed=1)
+        assert not data.realizations.flags.c_contiguous  # rows_of reads sample's layout
         back = cm.Dataset.from_json_dict(data.to_json_dict())
         assert np.array_equal(back.realizations, data.realizations)
