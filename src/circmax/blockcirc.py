@@ -76,6 +76,12 @@ def _two_sided(lags: np.ndarray) -> np.ndarray:
     return np.concatenate([lags[:0:-1].swapaxes(1, 2), lags])
 
 
+def _band_norm(lags: np.ndarray) -> float:
+    """Frobenius norm of lags S_0..S_n, counting lags k >= 1 twice."""
+    sq = np.sum(lags**2, axis=(1, 2))
+    return float(np.sqrt(sq[0] + 2.0 * sq[1:].sum()))
+
+
 @dataclass(frozen=True)
 class CovBand:
     """Given covariance lags S_0, ..., S_n of an m-dimensional process."""
@@ -96,8 +102,7 @@ class CovBand:
 
     def norm(self) -> float:
         """Frobenius norm of the band, counting lags k >= 1 twice."""
-        sq = np.sum(self.sigma**2, axis=(1, 2))
-        return float(np.sqrt(sq[0] + 2.0 * sq[1:].sum()))
+        return _band_norm(self.sigma)
 
     def scaled(self, c: float) -> "CovBand":
         return CovBand(self.m, self.n, c * np.asarray(self.sigma))

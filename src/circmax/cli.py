@@ -130,10 +130,7 @@ def _cmd_feasibility(args) -> int:
 def _cmd_verify(args) -> int:
     model = _load(args.model, ReciprocalModel.from_json_dict, "model")
     cov = _load(args.cov, BlockCirculant.from_json_dict, "covariance")
-    try:
-        report = verify_model(model, cov)
-    except DimensionError as exc:
-        raise _InputError(str(exc)) from exc
+    report = verify_model(model, cov)
     # non-finite residuals (e.g. covariance not PD) have no JSON number
     doc = {k: (v if np.isfinite(v) else None)
            for k, v in report.to_json_dict().items()}
@@ -195,10 +192,8 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except _InputError as exc:
-        print(f"circmax: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (DimensionError, NotReciprocalError, NotPositiveDefiniteError) as exc:
+    except (_InputError, DimensionError, NotReciprocalError,
+            NotPositiveDefiniteError) as exc:
         print(f"circmax: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CircmaxError as exc:

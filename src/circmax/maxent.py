@@ -24,29 +24,29 @@ positive; the band of its inverse misses the data only by aliasing,
 which decays geometrically in N, so large circles converge in 0-3 steps.
 The Hessian Tr(M^{-1} E_a M^{-1} E_b) is gathered from one irfft of the
 entrywise products of the unique frequency blocks of M^{-1}.  With
-dim = m(m+1)/2 + n m^2 band coordinates, the first Newton step allocates
-(N//2+1) m^4 complex products, N m^4 real lags and 4 dim^2 gather
-indices, reused by every later step; a solve that converges at its start
-allocates none of them.  Each step costs O(N log N m^4 + dim^3).  solve
-rejects dim > HESSIAN_DIM_LIMIT with DimensionError before allocating
-anything.
+dim = m(m+1)/2 + n m^2 band coordinates, each Newton step allocates
+(N//2+1) m^4 complex products, (N + 4n+1) m^4 real lags and about
+3 * 8 dim^2 bytes of gather temporaries, and frees them all when its
+Hessian is built; a solve that converges at its start allocates none of
+them.  Each step costs O(N log N m^4 + dim^3).  solve rejects
+dim > HESSIAN_DIM_LIMIT with DimensionError before allocating anything.
 
 The band coordinates depend only on (m, n, N): an LRU cache keyed by
 (m, n, N) keeps them read-only for COORD_CACHE_SIZE = 64 shapes, 48 dim
-bytes each and 6.1 MB at most; the Hessian plan stays per solve.  Like
-any LRU cache, it misses every time on a cycle of more than 64 shapes.
+bytes each and 6.1 MB at most.  Like any LRU cache, it misses every time
+on a cycle of more than 64 shapes.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import _jsonio
-from .blockcirc import (BlockCirculant, CovBand, _from_half_spectrum,
+from .blockcirc import (BlockCirculant, CovBand, _band_norm, _from_half_spectrum,
                         _hermitian_part, _lags, _multiplicities, _pd,
                         _toeplitz_ar, assemble_banded, inverse, logdet,
                         pd_tolerance)
@@ -71,12 +71,7 @@ class SolveDiagnostics:
     decrements: list  # Newton decrement lambda of each step taken
 
     def to_json_dict(self) -> dict:
-        return {"iterations": self.iterations,
-                "objective_trace": list(self.objective_trace),
-                "grad_norm": self.grad_norm,
-                "band_match": self.band_match,
-                "converged": self.converged,
-                "decrements": list(self.decrements)}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -148,42 +143,28 @@ class _BandCoords:
         col[self.pos] = x
         return np.fft.rfft(col.reshape(self.N, self.m, self.m), axis=0)
 
-    @functools.cached_property
-    def _hessian_plan(self):
-        """Gather indices, weights and work arrays of hessian, built on first use.
-
-        H_ab = sum_l Tr(P_l E_a P_l E_b) is a sum of four entries of the lag
-        products R (see hessian); a diagonal M_0 direction is counted twice.
-        The work arrays are reused by every Newton iteration: freed arrays
-        this large go back to the OS, and fresh ones would fault in again.
-        """
-        m, N = self.m, self.N
-        ka, kb = self.k[:, None], self.k[None, :]
-        ia, ib, ja, jb = self.i[:, None], self.i[None, :], self.j[:, None], self.j[None, :]
-
-        def flat(d, p, q, r, s):
-            return (((p * m + q) * m + r) * m + s) * N + d % N
-
-        idx = (flat(ka + kb, ja, ib, jb, ia), flat(ka - kb, ja, jb, ib, ia),
-               flat(kb - ka, ia, ib, jb, ja), flat(-ka - kb, ia, jb, ib, ja))
-        weight = np.where(np.arange(self.dim) < m, 0.5, 1.0)
-        prod = np.empty((m, m, m, m, N // 2 + 1), dtype=complex)
-        lags = np.empty((m, m, m, m, N))
-        return idx, weight, prod, lags
-
     def hessian(self, psi_inv: np.ndarray) -> np.ndarray:
         """Hessian of -log det M(x) from the unique blocks P_l of M^{-1}.
 
         R[p, q, r, s, d] = sum_l P_l[p, q] P_l[r, s] exp(2j pi l d / N) over
-        all N frequencies is one irfft of the half-spectrum products; each
-        H_ab gathers four of its entries at lags +-k_a +-k_b (mod N).
+        all N frequencies is one irfft of the half-spectrum products, and
+        H_ab = sum_l Tr(P_l E_a P_l E_b) sums four of its entries at lags
+        +-k_a +-k_b (a diagonal M_0 direction is counted twice).  On R's lags
+        -2n..2n each flat index is an offset of a plus an offset of b, so
+        the gather needs only dim-vectors, not dim x dim index tables.
         """
-        idx, w, prod, lags = self._hessian_plan
+        m, n, N = self.m, self.n, self.N
+        k, i, j = self.k, self.i, self.j
+        L = 4 * n + 1
         P = psi_inv.transpose(1, 2, 0)
-        np.multiply(P[:, :, None, None, :], P[None, None, :, :, :], out=prod)
-        R = np.fft.irfft(prod, n=self.N, axis=-1, out=lags).reshape(-1)
-        R *= self.N
-        return w[:, None] * (R[idx[0]] + R[idx[1]] + R[idx[2]] + R[idx[3]]) * w
+        R = np.fft.irfft(P[:, :, None, None, :] * P[None, None, :, :, :], n=N, axis=-1)
+        R = (N * R[..., np.arange(-2 * n, 2 * n + 1) % N]).reshape(-1)
+        up = ((j * m**3 + i) * L + 2 * n + k)[:, None]
+        down = ((i * m**3 + j) * L + 2 * n - k)[:, None]
+        fwd, rev = (i * m + j) * m * L + k, (j * m + i) * m * L - k
+        w = np.where(np.arange(self.dim) < m, 0.5, 1.0)
+        H = R[up + fwd] + R[up + rev] + R[down + fwd] + R[down + rev]
+        return w[:, None] * H * w
 
 
 def _logdet_from_eigs(w: np.ndarray, mult: np.ndarray) -> float:
@@ -199,11 +180,6 @@ def _ar_precision_blocks(X: np.ndarray, AT: np.ndarray, n: int) -> np.ndarray:
     """
     return np.array([np.einsum("jab,jcb->ac", AT[:n + 1 - k], X[k:])
                      for k in range(n + 1)])
-
-
-def _block_norm(blocks: np.ndarray) -> float:
-    sq = np.sum(blocks**2, axis=(1, 2))
-    return float(np.sqrt(sq[0] + 2.0 * sq[1:].sum()))
 
 
 def _data_lags(M, band: CovBand) -> np.ndarray:
@@ -331,7 +307,7 @@ def solve(band: CovBand, N: int, init=None) -> ExtensionResult:
         psi_inv = np.linalg.inv(psi)
         gamma = np.asarray(wband.sigma) - _lags(np.fft.irfft(psi_inv, n=N, axis=0), n)
         g = coords.pair_vec(gamma)
-        grad_norm_rel = _block_norm(gamma) / (1.0 + band_norm)
+        grad_norm_rel = _band_norm(gamma) / (1.0 + band_norm)
         band_match = float(np.max(np.linalg.norm(gamma, axis=(1, 2)) / lag_scale))
         if grad_norm_rel <= GRAD_TOL and band_match <= 10.0 * GRAD_TOL:
             model = ReciprocalModel(m, n, N, coords.blocks_of(x) / scale)

@@ -39,6 +39,8 @@ class TestExtend:
         sigma = cm.BlockCirculant.from_json_dict(_jsonio.load(out / "sigma_opt.json"))
         model = cm.ReciprocalModel.from_json_dict(_jsonio.load(out / "model.json"))
         diag = _jsonio.load(out / "diagnostics.json")
+        assert list(diag) == ["iterations", "objective_trace", "grad_norm",
+                              "band_match", "converged", "decrements"]
         assert diag["converged"] is True
         assert len(diag["decrements"]) == diag["iterations"] > 0
         m0, m1, m2 = model.M_blocks.ravel()
@@ -233,6 +235,15 @@ class TestVerify:
         out = json.loads(capsys.readouterr().out)
         assert out["pass"] is False
         assert out["inverse_residual"] > 1e-8
+
+    def test_dimension_mismatch_exits_1(self, tmp_path, model_file, capsys):
+        cov_path = tmp_path / "cov.json"
+        _jsonio.dump(cm.BlockCirculant(1, 4, blocks(1, 0, 0, 0)).to_json_dict(), cov_path)
+        assert main(["verify", "--model", str(model_file),
+                     "--cov", str(cov_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "circmax: model and covariance dimensions differ\n"
 
     def test_non_pd_covariance_exits_3(self, tmp_path, model_file, capsys):
         bad = cm.BlockCirculant(1, 8, blocks(2, 1, 0, 0, 0, 0, 0, 1))
