@@ -46,8 +46,8 @@ print(f"\nestimate beats {worse} of {valid} valid jittered models in likelihood"
 # entropy route (needs only lags 0..n)
 C = cm.covariance_of_model(truth)
 lags = np.array([C.lag(k) for k in range(5)])
-F, stats = cm.yule_walker(lags)
-d_inv = np.linalg.inv(stats.delta)
+F, delta = cm.yule_walker(lags)
+d_inv = np.linalg.inv(delta)
 two_sided = np.array([d_inv[0, 0], (d_inv @ F[2])[0, 0], (d_inv @ F[3])[0, 0]])
 entropy_route = cm.solve(C.band(2), 8).model.M_blocks.ravel()
 print("\ntwo-sided solve on exact lags 0..4: ", two_sided)

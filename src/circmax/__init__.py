@@ -24,12 +24,11 @@ from .errors import (CircmaxError, ConvergenceError, DegenerateDataError,
 from .feasibility import (FeasibilityCertificate, LevinsonResult, ar_extend,
                           block_levinson, feasibility_certificate,
                           find_feasible_N, wrap_sequence)
-from .identify import (IdentifyResult, SufficientStats, identify,
-                       log_likelihood, sufficient_statistics)
+from .identify import (IdentifyResult, identify, log_likelihood,
+                       sufficient_statistics)
 from .maxent import (ExtensionResult, SolveDiagnostics, dual_gradient,
                      dual_objective, entropy, solve)
-from .reciprocal import (ConjugateStats, Dataset, ModelResidualReport,
-                         ReciprocalModel, YuleWalkerSystem,
+from .reciprocal import (Dataset, ModelResidualReport, ReciprocalModel,
                          build_yule_walker_system, covariance_of_model,
                          model_from_covariance, sample, verify_model,
                          yule_walker)

@@ -152,10 +152,6 @@ class BlockCirculant:
             raise DimensionError(f"band order {n} too wide for N={self.N}")
         return CovBand(self.m, n, self.first_col[-np.arange(n + 1) % self.N])
 
-    def norm(self) -> float:
-        """Frobenius norm of the assembled dense matrix."""
-        return float(np.sqrt(self.N * np.sum(self.first_col**2)))
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Apply the assembled matrix to x of shape (..., N, m) via FFT."""
         xh = np.fft.ifft(x, axis=-2)

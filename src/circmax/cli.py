@@ -19,7 +19,7 @@ from .errors import (CircmaxError, ConvergenceError, DegenerateDataError,
                      DimensionError, HorizonExhaustedError, InfeasibleBandError,
                      InfeasibleExtensionError, InvalidModelError,
                      NotPositiveDefiniteError, NotReciprocalError)
-from .feasibility import feasibility_certificate
+from .feasibility import DEFAULT_HORIZON_FACTOR, feasibility_certificate
 from .identify import identify
 from .maxent import solve
 from .reciprocal import Dataset, ReciprocalModel, sample, verify_model
@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("feasibility", help="smallest feasible circle size")
     p.add_argument("--band", required=True, help="covariance band JSON")
     p.add_argument("--n-max", dest="n_max", type=int, default=None,
-                   help="search horizon (default 16*(2n+1))")
+                   help=f"search horizon (default {DEFAULT_HORIZON_FACTOR}*(2n+1))")
     p.set_defaults(func=_cmd_feasibility)
 
     p = sub.add_parser("verify", help="residuals of a (model, covariance) pair")

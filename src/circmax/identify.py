@@ -1,9 +1,10 @@
 """Maximum-likelihood identification of reciprocal AR models.
 
 The circular sample covariances of the data are sufficient statistics
-for the banded exponential family, so identification reduces to the
-maximum-entropy band extension of the sample band: the estimated model
-is the banded inverse of that extension.
+for the banded exponential family, so identification is the
+maximum-entropy band extension of the sample band: sufficient_statistics
+returns that band as a CovBand, solve extends it, and the estimated
+model is the banded inverse of the extension.
 """
 
 from __future__ import annotations
@@ -13,37 +14,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockcirc import CovBand
+from .blockcirc import BlockCirculant, CovBand
 from .errors import DegenerateDataError, DimensionError, InfeasibleBandError
 from .maxent import ExtensionResult, SolveDiagnostics, dual_objective, solve
 from .reciprocal import Dataset, ReciprocalModel
 
 
 @dataclass(frozen=True)
-class SufficientStats:
-    """Circular sample covariances S_hat_0..S_hat_n."""
-
-    m: int
-    n: int
-    sigma_hat: np.ndarray  # (n+1, m, m)
-
-    def as_band(self) -> CovBand:
-        return CovBand(self.m, self.n, self.sigma_hat)
-
-
-@dataclass(frozen=True)
 class IdentifyResult:
     model: ReciprocalModel
-    sigma_opt: "object"        # BlockCirculant
+    sigma_opt: BlockCirculant
     diagnostics: SolveDiagnostics
-    stats: SufficientStats
+    stats: CovBand             # the sample band S_hat_0..S_hat_n
     log_likelihood: float
 
-    def __iter__(self):
-        return iter((self.model, self.sigma_opt, self.diagnostics))
 
-
-def sufficient_statistics(data: Dataset, n: int) -> SufficientStats:
+def sufficient_statistics(data: Dataset, n: int) -> CovBand:
     """Circular sample covariances up to lag n.
 
     S_hat_k = (1/(N*T)) sum_t sum_s y_t((s+k) mod N) y_t(s)^T, the lag-0
@@ -64,10 +50,10 @@ def sufficient_statistics(data: Dataset, n: int) -> SufficientStats:
     if not np.isfinite(out).all():
         raise DimensionError("realizations too large: their sample covariances overflow")
     out[0] = 0.5 * (out[0] + out[0].T)
-    return SufficientStats(data.m, n, out)
+    return CovBand(data.m, n, out)
 
 
-def log_likelihood(model: ReciprocalModel, stats: SufficientStats, T: int) -> float:
+def log_likelihood(model: ReciprocalModel, stats: CovBand, T: int) -> float:
     """Average per-sample Gaussian log-likelihood, constants dropped.
 
     L = log det(M_N) - N Tr(M_0 S_hat_0) - 2N sum_k Tr(M_k^T S_hat_k),
@@ -76,7 +62,7 @@ def log_likelihood(model: ReciprocalModel, stats: SufficientStats, T: int) -> fl
     """
     if T < 1:
         raise DimensionError("need T >= 1")
-    return -dual_objective(model, stats.as_band())
+    return -dual_objective(model, stats)
 
 
 def identify(data: Dataset, n: int, ridge: float = 0.0,
@@ -90,12 +76,11 @@ def identify(data: Dataset, n: int, ridge: float = 0.0,
     """
     if not (math.isfinite(ridge) and ridge >= 0.0):
         raise DimensionError(f"ridge must be finite and >= 0, got {ridge}")
-    stats = sufficient_statistics(data, n)
-    sigma = np.asarray(stats.sigma_hat)
+    band = stats = sufficient_statistics(data, n)
     if ridge > 0.0:
-        sigma = sigma.copy()
+        sigma = stats.sigma.copy()
         sigma[0] = sigma[0] + ridge * np.eye(data.m)
-    band = CovBand(data.m, n, sigma)
+        band = CovBand(data.m, n, sigma)
     N = data.N if extend_N is None else int(extend_N)
     try:
         result: ExtensionResult = solve(band, N)

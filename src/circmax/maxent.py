@@ -52,7 +52,8 @@ from .blockcirc import (BlockCirculant, CovBand, _band_norm, _from_half_spectrum
                         pd_tolerance)
 from .errors import (ConvergenceError, DimensionError, HorizonExhaustedError,
                      InfeasibleExtensionError, NotPositiveDefiniteError)
-from .feasibility import feasibility_certificate
+from .feasibility import DEFAULT_HORIZON_FACTOR, feasibility_certificate
+from .reciprocal import ReciprocalModel
 
 HESSIAN_DIM_LIMIT = 2000
 GRAD_TOL = 1e-10  # relative gradient at which a solve counts as converged
@@ -77,11 +78,8 @@ class SolveDiagnostics:
 @dataclass(frozen=True)
 class ExtensionResult:
     sigma_opt: BlockCirculant
-    model: "object"      # ReciprocalModel
+    model: ReciprocalModel
     diagnostics: SolveDiagnostics
-
-    def __iter__(self):
-        return iter((self.sigma_opt, self.model, self.diagnostics))
 
 
 def _band_dim(m: int, n: int) -> int:
@@ -221,7 +219,8 @@ def _infeasibility_report(band: CovBand, N: int, dual_blocks: np.ndarray,
                           pairing: float) -> dict:
     """The certifying iterate plus the AR-wrap scan; see InfeasibleExtensionError."""
     try:
-        cert = feasibility_certificate(band, N_max=max(N, 16 * (2 * band.n + 1)))
+        cert = feasibility_certificate(
+            band, N_max=max(N, DEFAULT_HORIZON_FACTOR * (2 * band.n + 1)))
         smallest, trace = cert.N, cert.min_eig_trace
     except HorizonExhaustedError as exc:
         smallest, trace = None, exc.min_eig_trace
@@ -252,8 +251,6 @@ def solve(band: CovBand, N: int, init=None) -> ExtensionResult:
     that stops short of both (a step fails the PD guard, H gives no
     descent direction or the iteration limit is hit) raises ConvergenceError.
     """
-    from .reciprocal import ReciprocalModel
-
     m, n = band.m, band.n
     if N < 2 * n + 1:
         raise DimensionError(f"N={N} below 2n+1={2 * n + 1}")

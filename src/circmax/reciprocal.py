@@ -55,28 +55,6 @@ class ReciprocalModel:
 
 
 @dataclass(frozen=True)
-class ConjugateStats:
-    """Variance of the unnormalized conjugate (double-sided innovation) process."""
-
-    delta: np.ndarray  # (m, m) symmetric PSD
-
-
-@dataclass(frozen=True)
-class YuleWalkerSystem:
-    """Normal equations for the two-sided coefficients of order n.
-
-    ``gram`` is the 2nm x 2nm covariance of the window
-    (y(t+n), ..., y(t+1), y(t-1), ..., y(t-n)); ``rhs`` stacks the cross
-    blocks (S_n, ..., S_1, S_1^T, ..., S_n^T).
-    """
-
-    m: int
-    n: int
-    gram: np.ndarray
-    rhs: np.ndarray
-
-
-@dataclass(frozen=True)
 class Dataset:
     """T independent realizations of one period of an m-dimensional process."""
 
@@ -101,8 +79,13 @@ class Dataset:
         return cls(m, N, T, _jsonio.blocks_of(d["realizations"], T, (N, m), "realizations"))
 
 
-def build_yule_walker_system(lags: np.ndarray) -> YuleWalkerSystem:
-    """Assemble the order-n two-sided normal equations from lags S_0..S_2n."""
+def build_yule_walker_system(lags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Order-n two-sided normal equations (gram, rhs) from lags S_0..S_2n.
+
+    ``gram`` is the 2nm x 2nm covariance of the window
+    (y(t+n), ..., y(t+1), y(t-1), ..., y(t-n)); ``rhs`` (2nm x m) stacks
+    the cross blocks (S_n, ..., S_1, S_1^T, ..., S_n^T).
+    """
     lags = np.asarray(lags, dtype=float)
     if lags.ndim != 3 or lags.shape[1] != lags.shape[2]:
         raise DimensionError("lags must be a stack of square blocks")
@@ -115,30 +98,32 @@ def build_yule_walker_system(lags: np.ndarray) -> YuleWalkerSystem:
     stack = _two_sided(lags)
     gram = stack[2 * n + offs[None, :] - offs[:, None]].transpose(0, 2, 1, 3)
     rhs = stack[2 * n - offs]  # block i is S_{k_i}^T
-    return YuleWalkerSystem(m, n, gram.reshape(2 * n * m, 2 * n * m), rhs.reshape(2 * n * m, m))
+    return gram.reshape(2 * n * m, 2 * n * m), rhs.reshape(2 * n * m, m)
 
 
-def yule_walker(lags: np.ndarray) -> tuple[np.ndarray, ConjugateStats]:
+def yule_walker(lags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two-sided coefficients F_{-n}..F_{-1}, F_1..F_n and conjugate variance.
 
     Solves the orthogonality conditions of the double-sided representation
     sum_k F_k y(t-k) = d(t) with F_0 = I, from the 2n+1 lags S_0..S_2n.
+    Returns (F, delta): F of shape (2n, m, m) and the (m, m) variance
+    delta = E d(t) d(t)^T of that unnormalized conjugate process.
     Needs twice the lags that the banded maximum-entropy route uses.
     """
     lags = np.asarray(lags, dtype=float)
-    sys = build_yule_walker_system(lags)
-    m, n = sys.m, sys.n
+    gram, rhs = build_yule_walker_system(lags)
+    n, m = (len(lags) - 1) // 2, lags.shape[1]
     if n == 0:
-        return np.zeros((0, m, m)), ConjugateStats(0.5 * (lags[0] + lags[0].T))
-    w = np.linalg.eigvalsh(_hermitian_part(sys.gram))
+        return np.zeros((0, m, m)), 0.5 * (lags[0] + lags[0].T)
+    w = np.linalg.eigvalsh(_hermitian_part(gram))
     if not float(np.abs(w).min()) > pd_tolerance(float(np.abs(w).max())):
         raise DegenerateProcessError(
             "degenerate process: singular two-sided normal equations")
-    X = np.linalg.solve(sys.gram, -sys.rhs)
+    X = np.linalg.solve(gram, -rhs)
     F = X.reshape(2 * n, m, m).swapaxes(1, 2)
     # rhs block i is S_{-k_i}, the lag that F_{k_i} meets in E d(t) y(t)^T
-    delta = lags[0] + (F @ sys.rhs.reshape(2 * n, m, m)).sum(axis=0)
-    return F, ConjugateStats(0.5 * (delta + delta.T))
+    delta = lags[0] + (F @ rhs.reshape(2 * n, m, m)).sum(axis=0)
+    return F, 0.5 * (delta + delta.T)
 
 
 def covariance_of_model(model: ReciprocalModel) -> BlockCirculant:

@@ -123,6 +123,13 @@ class TestSampleAndIdentify:
         assert main(["sample", "--model", str(path), "--T", "3",
                      "--seed", "0", "--out", str(tmp_path / "d.json")]) == 2
 
+    def test_sample_zero_T_exits_1(self, tmp_path, model_file, capsys):
+        out = tmp_path / "d.json"
+        assert main(["sample", "--model", str(model_file), "--T", "0",
+                     "--seed", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "circmax: need T >= 1\n"
+        assert not out.exists()
+
     def test_identify_round_trip(self, tmp_path, model_file):
         data_path = tmp_path / "data.json"
         main(["sample", "--model", str(model_file), "--T", "5000",
@@ -193,6 +200,16 @@ class TestFeasibility:
         path = tmp_path / "band.json"
         _jsonio.dump(cm.CovBand(1, 1, blocks(1.0, 1.5)).to_json_dict(), path)
         assert main(["feasibility", "--band", str(path)]) == 2
+
+    def test_exhausted_horizon_exits_2_with_trace(self, tmp_path, capsys):
+        path = tmp_path / "band.json"
+        _jsonio.dump(cm.CovBand(1, 1, blocks(1.0, -0.9)).to_json_dict(), path)
+        assert main(["feasibility", "--band", str(path), "--n-max", "5"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        out = json.loads(lines[0])
+        assert sorted(out) == ["error", "min_eig_trace"]
+        assert list(out["min_eig_trace"]) == ["3", "4", "5"]
 
     @pytest.mark.parametrize("rho", [1.0, -1.0])
     def test_near_tolerance_band_names_t_n(self, tmp_path, capsys, rho):

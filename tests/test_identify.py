@@ -24,13 +24,13 @@ class TestSufficientStatistics:
     def test_zero_data(self):
         data = cm.Dataset(1, 6, 3, np.zeros((3, 6, 1)))
         stats = cm.sufficient_statistics(data, 2)
-        assert np.abs(stats.sigma_hat).max() == 0.0
+        assert np.abs(stats.sigma).max() == 0.0
 
     def test_constant_realization(self):
         data = cm.Dataset(1, 4, 1, np.ones((1, 4, 1)))
         stats = cm.sufficient_statistics(data, 1)
-        assert stats.sigma_hat[0][0, 0] == 1.0
-        assert stats.sigma_hat[1][0, 0] == 1.0
+        assert stats.sigma[0][0, 0] == 1.0
+        assert stats.sigma[1][0, 0] == 1.0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_naive_summation_oracle(self, seed):
@@ -43,7 +43,7 @@ class TestSufficientStatistics:
             want = naive_circular_covariance(Y, k)
             if k == 0:
                 want = 0.5 * (want + want.T)
-            assert np.abs(stats.sigma_hat[k] - want).max() < 1e-12
+            assert np.abs(stats.sigma[k] - want).max() < 1e-12
 
     def test_lag_too_large(self):
         data = cm.Dataset(1, 6, 1, np.zeros((1, 6, 1)))
@@ -80,20 +80,20 @@ class TestSufficientStatistics:
             for Y_laid_out in layouts:
                 assert np.array_equal(Y_laid_out, Y)
                 stats = cm.sufficient_statistics(cm.Dataset(m, N, T, Y_laid_out), n)
-                assert np.abs(stats.sigma_hat - want).max() <= 1e-12
+                assert np.abs(stats.sigma - want).max() <= 1e-12
 
     def test_circular_shift_invariance(self):
         rng = np.random.default_rng(10)
         Y = rng.standard_normal((4, 8, 1))
         a = cm.sufficient_statistics(cm.Dataset(1, 8, 4, Y), 2)
         b = cm.sufficient_statistics(cm.Dataset(1, 8, 4, np.roll(Y, 3, axis=1)), 2)
-        assert np.abs(a.sigma_hat - b.sigma_hat).max() <= 1e-12
+        assert np.abs(a.sigma - b.sigma).max() <= 1e-12
 
 
 class TestLogLikelihood:
     def test_white_value(self):
         model = cm.ReciprocalModel(1, 0, 6, blocks(1.0))
-        stats = cm.SufficientStats(1, 0, np.ones((1, 1, 1)))
+        stats = cm.CovBand(1, 0, np.ones((1, 1, 1)))
         assert abs(cm.log_likelihood(model, stats, 1) - (-6.0)) < 1e-14
 
     def test_matches_dense_sample_pairing(self):
@@ -113,13 +113,13 @@ class TestLogLikelihood:
         model = random_model(rng, 2, 1, 10)
         data = cm.Dataset(2, 10, 4, rng.standard_normal((4, 10, 2)))
         stats = cm.sufficient_statistics(data, 3)
-        assert cm.log_likelihood(model, stats, 4) == -cm.dual_objective(model, stats.as_band())
-        short = cm.SufficientStats(2, 1, stats.sigma_hat[:2])
+        assert cm.log_likelihood(model, stats, 4) == -cm.dual_objective(model, stats)
+        short = cm.CovBand(2, 1, stats.sigma[:2])
         assert cm.log_likelihood(model, stats, 4) == cm.log_likelihood(model, short, 4)
 
     def test_concavity_midpoint(self):
         rng = np.random.default_rng(4)
-        stats = cm.SufficientStats(1, 1, blocks(1.0, 0.3))
+        stats = cm.CovBand(1, 1, blocks(1.0, 0.3))
         for _ in range(10):
             a = random_model(rng, 1, 1, 8)
             b = random_model(rng, 1, 1, 8)
@@ -131,9 +131,9 @@ class TestLogLikelihood:
 
     def test_maxent_solution_maximizes(self):
         # refine a grid over scalar order-1 models and compare with the solver
-        stats = cm.SufficientStats(1, 1, blocks(1.0, 0.35))
+        stats = cm.CovBand(1, 1, blocks(1.0, 0.35))
         N = 6
-        result = cm.solve(stats.as_band(), N)
+        result = cm.solve(stats, N)
         best = np.array([result.model.M_blocks[0, 0, 0] * 1.5, 0.0])
         width = np.array([3.0, 1.5])
 
@@ -165,7 +165,7 @@ class TestIdentify:
         data = cm.sample(model, 500, seed=2)
         res = cm.identify(data, 2)
         stats = cm.sufficient_statistics(data, 2)
-        ext = cm.solve(stats.as_band(), data.N)
+        ext = cm.solve(stats, data.N)
         recomposed = cm.model_from_covariance(ext.sigma_opt, 2)
         assert np.abs(recomposed.M_blocks - res.model.M_blocks).max() <= 1e-9
         assert np.array_equal(ext.model.M_blocks, res.model.M_blocks)
@@ -252,8 +252,8 @@ class TestIdentify:
             true = random_model(rng, m, n, N)
             C = cm.covariance_of_model(true)
             lags = np.array([C.lag(k) for k in range(2 * n + 1)])
-            F, stats = cm.yule_walker(lags)
-            d_inv = np.linalg.inv(stats.delta)
+            F, delta = cm.yule_walker(lags)
+            d_inv = np.linalg.inv(delta)
             yw = np.concatenate([[d_inv]] + [[d_inv @ F[n + k - 1]]
                                              for k in range(1, n + 1)])
             ext = cm.solve(C.band(n), N)

@@ -275,6 +275,17 @@ class TestSolve:
         assert cert["smallest_feasible_N"] == 4
         check_infeasibility_certificate(cert, band.sigma, 3)
 
+    def test_infeasible_with_exhausted_horizon(self):
+        # no wrap is PD up to the default horizon 16 * (2n + 1) = 48
+        band = cm.CovBand(1, 1, blocks(1.0, -0.9))
+        with pytest.raises(cm.InfeasibleExtensionError) as err:
+            cm.solve(band, 3)
+        cert = err.value.certificate
+        assert cert["smallest_feasible_N"] is None
+        assert list(cert["min_eig_trace"]) == [str(N) for N in range(3, 49)]
+        assert cert["wrap_min_eig"] == -0.8
+        check_infeasibility_certificate(cert, band.sigma, 3)
+
     def test_certificates_beyond_2n_plus_1(self):
         # random bands at N > 2n+1, where a non-PD AR wrap proves nothing
         rng = np.random.default_rng(21)

@@ -41,9 +41,9 @@ class TestYuleWalker:
     def test_white_noise(self):
         lags = np.zeros((5, 2, 2))
         lags[0] = np.eye(2)
-        F, stats = cm.yule_walker(lags)
+        F, delta = cm.yule_walker(lags)
         assert np.abs(F).max() == 0.0
-        assert np.array_equal(stats.delta, np.eye(2))
+        assert np.array_equal(delta, np.eye(2))
 
     @pytest.mark.parametrize("seed,m,n,N", [(0, 1, 1, 8), (1, 2, 1, 10),
                                             (2, 2, 2, 12), (3, 3, 2, 14)])
@@ -51,8 +51,8 @@ class TestYuleWalker:
         rng = np.random.default_rng(seed)
         model = random_model(rng, m, n, N)
         lags = exact_lags(model, 2 * n + 1)
-        F, stats = cm.yule_walker(lags)
-        d_inv = np.linalg.inv(stats.delta)
+        F, delta = cm.yule_walker(lags)
+        d_inv = np.linalg.inv(delta)
         assert np.abs(d_inv - model.M_blocks[0]).max() < 1e-8
         for k in range(1, n + 1):
             got_plus = d_inv @ F[n + k - 1]
@@ -74,8 +74,8 @@ class TestYuleWalker:
         for eps in (1e-1, 1e-3, 1e-5):
             lags = np.full((3, 1, 1), 1.0 / N)
             lags[0, 0, 0] += eps
-            _, stats = cm.yule_walker(lags)
-            deltas.append(stats.delta[0, 0])
+            _, delta = cm.yule_walker(lags)
+            deltas.append(delta[0, 0])
         assert deltas[0] > deltas[1] > deltas[2] > 0
         assert deltas[2] < 1e-4
 
@@ -84,13 +84,13 @@ class TestYuleWalker:
         model = random_model(rng, 2, 1, 9)
         C = cm.covariance_of_model(model)
         lags = exact_lags(model, 3)
-        sys = cm.build_yule_walker_system(lags)
+        gram, _ = cm.build_yule_walker_system(lags)
         # covariance of (y(t+1), y(t-1)) at t = 1: rows/cols {2, 0} of C
         D = C.to_dense()
         m = 2
         idx = np.r_[2 * m:3 * m, 0:m]
-        assert np.abs(sys.gram - D[np.ix_(idx, idx)]).max() < 1e-12
-        assert np.linalg.eigvalsh(sys.gram).min() > 0
+        assert np.abs(gram - D[np.ix_(idx, idx)]).max() < 1e-12
+        assert np.linalg.eigvalsh(gram).min() > 0
 
 
 class TestModelCovariance:
@@ -224,7 +224,7 @@ class TestSample:
         T = 40000
         data = cm.sample(model, T, seed=5)
         stats = cm.sufficient_statistics(data, 0)
-        assert np.abs(stats.sigma_hat[0] - np.eye(2)).max() < 3.0 / np.sqrt(T)
+        assert np.abs(stats.sigma[0] - np.eye(2)).max() < 3.0 / np.sqrt(T)
 
     def test_sampled_covariance_matches_model(self):
         model = cm.ReciprocalModel(1, 2, 8, blocks(1.7, -0.75, 0.1))
@@ -233,7 +233,7 @@ class TestSample:
         stats = cm.sufficient_statistics(data, 3)
         for k in range(4):
             se = 3.0 / np.sqrt(data.T * data.N)
-            assert np.abs(stats.sigma_hat[k] - C.lag(k)).max() < 6 * se
+            assert np.abs(stats.sigma[k] - C.lag(k)).max() < 6 * se
 
     def test_orthogonality_monte_carlo(self):
         # E[y e^T] = I for e = M_N y
@@ -257,7 +257,7 @@ class TestSample:
             for s in range(5):
                 data = cm.sample(model, T, seed=9000 + s)
                 stats = cm.sufficient_statistics(data, 2)
-                per_seed.append(np.abs(stats.sigma_hat[:, 0, 0] - true).max())
+                per_seed.append(np.abs(stats.sigma[:, 0, 0] - true).max())
             errs.append(np.mean(per_seed))
         slope = np.polyfit(np.log([100, 1000, 10000, 100000]), np.log(errs), 1)[0]
         assert -0.6 <= slope <= -0.4
