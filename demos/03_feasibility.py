@@ -21,15 +21,14 @@ for N in (3, 5, 9):
     print(f"zero-padded completion at N={N}: smallest eigenvalue {lo:+.4f}")
 
 # the AR model of T_n gives the extension of the lags
-lev = cm.block_levinson(band)
-print("\nAR coefficient:", lev.ar_coeffs.ravel(),
-      " innovation variance:", lev.innovation.ravel())
-ext = cm.ar_extend(lev, band, 6)
+A, innovation = cm.block_levinson(band)
+print("\nAR coefficient:", A.ravel(), " innovation variance:", innovation.ravel())
+ext = cm.ar_extend(band, 6)
 print("extended lags:", np.round(ext.ravel(), 5))
 
 # scan circle sizes until the wrapped extension is positive definite
 cert = cm.feasibility_certificate(band)
-print(f"\nsmallest feasible N: {cert.N}")
+print(f"\nfirst N with a positive wrap (a witness, not the minimum): {cert.N}")
 print("smallest wrap eigenvalue per scanned N:")
 for N, lo in sorted(cert.min_eig_trace.items()):
     marker = "  <-- first positive" if N == cert.N else ""

@@ -35,7 +35,7 @@ for _ in range(200):
     jitter[0] = abs(jitter[0])
     try:
         other = cm.ReciprocalModel(1, 2, 8, jitter)
-        L = cm.log_likelihood(other, res.stats, data.T)
+        L = cm.log_likelihood(other, res.stats)
     except cm.CircmaxError:
         continue
     valid += 1

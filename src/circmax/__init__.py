@@ -9,21 +9,21 @@ order n, and the completion solves maximum-likelihood identification
 of such models from sample data.
 """
 
+import types
+
 from .blockcirc import (BlockCirculant, CovBand, SpectralForm,
                         assemble_banded, assemble_circulant, band_residual,
-                        dft_block_diagonalize, fourier_matrix, idft_reconstruct,
-                        inverse, is_positive_definite, is_strictly_positive,
-                        logdet, project_circulant, shift_matrix, spectral_bounds,
-                        toeplitz_gram)
+                        dft_block_diagonalize, idft_reconstruct, inverse,
+                        is_positive_definite, is_strictly_positive, logdet,
+                        project_circulant, spectral_bounds, toeplitz_gram)
 from .errors import (CircmaxError, ConvergenceError, DegenerateDataError,
                      DegenerateProcessError, DimensionError,
                      HorizonExhaustedError, InfeasibleBandError,
                      InfeasibleExtensionError, InvalidModelError,
                      NotPositiveDefiniteError, NotReciprocalError,
                      ReconstructionError)
-from .feasibility import (FeasibilityCertificate, LevinsonResult, ar_extend,
-                          block_levinson, feasibility_certificate,
-                          find_feasible_N, wrap_sequence)
+from .feasibility import (FeasibilityCertificate, ar_extend, block_levinson,
+                          feasibility_certificate, wrap_sequence)
 from .identify import (IdentifyResult, identify, log_likelihood,
                        sufficient_statistics)
 from .maxent import (ExtensionResult, SolveDiagnostics, dual_gradient,
@@ -35,4 +35,5 @@ from .reciprocal import (Dataset, ModelResidualReport, ReciprocalModel,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, types.ModuleType)]

@@ -152,13 +152,6 @@ class BlockCirculant:
             raise DimensionError(f"band order {n} too wide for N={self.N}")
         return CovBand(self.m, n, self.first_col[-np.arange(n + 1) % self.N])
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Apply the assembled matrix to x of shape (..., N, m) via FFT."""
-        xh = np.fft.ifft(x, axis=-2)
-        psi = np.fft.fft(self.first_col, axis=0)
-        yh = np.einsum("lij,...lj->...li", psi, xh)
-        return np.fft.fft(yh, axis=-2).real
-
     def to_json_dict(self) -> dict:
         return {"m": self.m, "N": self.N, "first_col": _jsonio.rows_of(self.first_col)}
 
@@ -183,20 +176,6 @@ class SpectralForm:
         a = a.copy()
         a.flags.writeable = False
         object.__setattr__(self, "psi", a)
-
-
-def shift_matrix(m: int, N: int) -> np.ndarray:
-    """Dense block shift U_N with identity blocks at (i, i+1 mod N)."""
-    col = np.zeros((N, m, m))
-    col[1] = np.eye(m)
-    return BlockCirculant(m, N, col).to_dense()
-
-
-def fourier_matrix(m: int, N: int) -> np.ndarray:
-    """Unitary block Fourier matrix V with V[k,l] = exp(-2j pi k l / N)/sqrt(N) I_m."""
-    k = np.arange(N)
-    V = np.exp(-2j * np.pi * np.outer(k, k) / N) / np.sqrt(N)
-    return np.kron(V, np.eye(m))
 
 
 def assemble_circulant(band: CovBand, N: int) -> BlockCirculant:

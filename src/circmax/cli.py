@@ -170,7 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output dataset file")
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("feasibility", help="smallest feasible circle size")
+    p = sub.add_parser("feasibility",
+                       help="first circle size whose wrapped AR extension is PD")
     p.add_argument("--band", required=True, help="covariance band JSON")
     p.add_argument("--n-max", dest="n_max", type=int, default=None,
                    help=f"search horizon (default {DEFAULT_HORIZON_FACTOR}*(2n+1))")

@@ -21,61 +21,53 @@ DEFAULT_HORIZON_FACTOR = 16  # default N_max = 16 * (2n + 1)
 
 
 @dataclass(frozen=True)
-class LevinsonResult:
-    """Forward matrix AR coefficients A_1..A_n and innovation variance.
-
-    The coefficients satisfy the block normal equations
-    S_k + sum_j A_j S_{k-j} = 0 for k = 1..n (S_{-i} = S_i^T).
-    """
-
-    m: int
-    n: int
-    ar_coeffs: np.ndarray   # (n, m, m)
-    innovation: np.ndarray  # (m, m), symmetric positive definite
-
-
-@dataclass(frozen=True)
 class FeasibilityCertificate:
-    """Outcome of the smallest-feasible-N search."""
+    """Outcome of the wrap scan: the first N whose wrapped AR extension is PD."""
 
     N: int
     circulant: BlockCirculant
     min_eig_trace: dict
 
 
-def block_levinson(band: CovBand) -> LevinsonResult:
+def block_levinson(band: CovBand) -> tuple[np.ndarray, np.ndarray]:
     """Forward AR model of order n of the band, read off eigh(T_n).
 
-    Raises InfeasibleBandError when T_n is not positive definite, by the
-    same rule and from the same eigendecomposition as solve's gate.  The
-    innovation is Lambda = S_0 + sum_j A_j S_j^T, symmetrized.
+    Returns (A, innovation): the coefficients A_1..A_n, shape (n, m, m),
+    satisfy the block normal equations S_k + sum_j A_j S_{k-j} = 0 for
+    k = 1..n (S_{-i} = S_i^T), and the innovation variance is
+    Lambda = S_0 + sum_j A_j S_j^T, symmetrized.  Raises
+    InfeasibleBandError when T_n is not positive definite, by the same
+    rule and from the same eigendecomposition as solve's gate.
     """
     _, AT = _toeplitz_ar(band)
     A = AT[1:].swapaxes(1, 2)
     lam = band.sigma[0] + np.einsum("jab,jcb->ac", A, band.sigma[1:])
-    return LevinsonResult(band.m, band.n, A, 0.5 * (lam + lam.T))
+    return A, 0.5 * (lam + lam.T)
 
 
-def ar_extend(lev: LevinsonResult, band: CovBand, count: int) -> np.ndarray:
-    """Lags S_{n+1}..S_{n+count} of the AR extension S_i = -sum_j A_j S_{i-j}.
+def _extend(A: np.ndarray, lags: list, upto: int) -> None:
+    """Append S_i = -sum_j A_j S_{i-j} to lags in place until it holds lags 0..upto."""
+    n = len(A)
+    for i in range(len(lags), upto + 1):
+        lags.append(-sum(A[j - 1] @ lags[i - j] for j in range(1, n + 1))
+                    if n else np.zeros_like(lags[0]))
+
+
+def ar_extend(band: CovBand, count: int) -> np.ndarray:
+    """Lags S_{n+1}..S_{n+count} of the band's AR extension.
 
     Every finite Toeplitz section of the extended sequence is positive
     definite (maximum-entropy line extension).
     """
-    if lev.m != band.m or lev.n != band.n:
-        raise DimensionError("Levinson result does not match the band")
-    m, n = band.m, band.n
     if count < 0:
         raise DimensionError("count must be non-negative")
     lags = list(band.sigma)
-    for i in range(n + 1, n + count + 1):
-        lags.append(-sum(lev.ar_coeffs[j - 1] @ lags[i - j] for j in range(1, n + 1))
-                    if n else np.zeros((m, m)))
-    return np.array(lags[n + 1:]).reshape(count, m, m)
+    _extend(block_levinson(band)[0], lags, band.n + count)
+    return np.array(lags[band.n + 1:]).reshape(count, band.m, band.m)
 
 
-def wrap_sequence(m: int, N: int, lags: np.ndarray) -> BlockCirculant:
-    """Circulant wrap of a lag sequence onto Z_N.
+def wrap_sequence(m: int, N: int, lags: np.ndarray | list) -> BlockCirculant:
+    """Circulant wrap of a lag sequence (an array or a list of blocks) onto Z_N.
 
     Odd N uses lags 0..(N-1)/2; even N places S_{N/2}^T + S_{N/2} in the
     single self-transpose center slot.
@@ -87,38 +79,35 @@ def wrap_sequence(m: int, N: int, lags: np.ndarray) -> BlockCirculant:
 
 
 def feasibility_certificate(band: CovBand, N_max: int | None = None) -> FeasibilityCertificate:
-    """Smallest N in [2n+1, N_max] whose wrapped AR extension is PD.
+    """First N in [2n+1, N_max] whose wrapped AR extension is PD.
 
     Returns the N, the wrapped circulant, and the scanned min-eigenvalue
-    trace.  Raises InfeasibleBandError when T_n is not PD and
-    HorizonExhaustedError (carrying the trace) when no N works.
+    trace.  The N is a witness that a positive completion exists there,
+    not the smallest such N.  Raises InfeasibleBandError when T_n is not
+    PD and HorizonExhaustedError (carrying the trace) when no N works.
 
-    The scan stops at the first PD wrap, so only N <= N* is probed, N*
-    being the returned N.  Each probe is one FFT plus one batched eigen
-    solve over N/2+1 blocks, O(N m^3), for O(N*^2 m^3) in total; the AR
-    extension up to lag N_max/2 takes O(N_max m^2) memory.
+    The scan extends the AR lags only as far as each probe needs and
+    stops at the first PD wrap, so only N <= N* is probed, N* being the
+    returned N.  Each probe is one FFT plus one batched eigen solve over
+    N/2+1 blocks, O(N m^3), for O(N*^2 m^3) time and O(N* m^2) memory in
+    total, independent of N_max; an exhausted scan costs the same with
+    N_max in place of N*.
     """
     n = band.n
     if N_max is None:
         N_max = DEFAULT_HORIZON_FACTOR * (2 * n + 1)
     if N_max < 2 * n + 1:
         raise DimensionError(f"N_max={N_max} below 2n+1={2 * n + 1}")
-    lev = block_levinson(band)
-    needed = N_max // 2 + 1 - n
-    extended = np.concatenate(
-        [band.sigma, ar_extend(lev, band, max(needed, 0))], axis=0)
+    A, _ = block_levinson(band)
+    lags = list(band.sigma)
 
     trace: dict[int, float] = {}
     for N in range(2 * n + 1, N_max + 1):
-        wrap = wrap_sequence(band.m, N, extended)
+        _extend(A, lags, N // 2)
+        wrap = wrap_sequence(band.m, N, lags)
         lo, hi = spectral_bounds(wrap)
         trace[N] = lo
         if lo > pd_tolerance(hi):
             return FeasibilityCertificate(N, wrap, trace)
     raise HorizonExhaustedError(
         f"horizon exhausted: no feasible N up to {N_max}", min_eig_trace=trace)
-
-
-def find_feasible_N(band: CovBand, N_max: int | None = None) -> int:
-    """Smallest feasible circle size; see feasibility_certificate."""
-    return feasibility_certificate(band, N_max).N

@@ -38,6 +38,8 @@ def sufficient_statistics(data: Dataset, n: int) -> CovBand:
     wrapped s >= N-k as two products over the contiguous slices.
     """
     N = data.N
+    if n < 0:
+        raise DimensionError(f"lag order must be >= 0, got {n}")
     if 2 * n >= N:
         raise DimensionError(f"lag order {n} is not below N/2 for N={N}")
     Y = np.ascontiguousarray(data.realizations.transpose(1, 2, 0))
@@ -53,15 +55,13 @@ def sufficient_statistics(data: Dataset, n: int) -> CovBand:
     return CovBand(data.m, n, out)
 
 
-def log_likelihood(model: ReciprocalModel, stats: CovBand, T: int) -> float:
+def log_likelihood(model: ReciprocalModel, stats: CovBand) -> float:
     """Average per-sample Gaussian log-likelihood, constants dropped.
 
     L = log det(M_N) - N Tr(M_0 S_hat_0) - 2N sum_k Tr(M_k^T S_hat_k),
     which is log det(M_N) - Tr(M_N times the dense sample covariance).
     Only differences and the argmax are meaningful.
     """
-    if T < 1:
-        raise DimensionError("need T >= 1")
     return -dual_objective(model, stats)
 
 
@@ -87,6 +87,6 @@ def identify(data: Dataset, n: int, ridge: float = 0.0,
     except InfeasibleBandError as exc:
         raise DegenerateDataError(
             "insufficient or degenerate data: sample Toeplitz matrix not PD") from exc
-    L = log_likelihood(result.model, stats, data.T)
+    L = log_likelihood(result.model, stats)
     return IdentifyResult(result.model, result.sigma_opt, result.diagnostics,
                           stats, L)

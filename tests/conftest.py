@@ -59,6 +59,18 @@ def dense_circulant_oracle(band, N):
     return D
 
 
+def shift_matrix(m, N):
+    """Dense block shift U_N with identity blocks at (i, i+1 mod N)."""
+    return np.kron(np.roll(np.eye(N), 1, axis=1), np.eye(m))
+
+
+def fourier_matrix(m, N):
+    """Unitary block Fourier matrix V with V[k,l] = exp(-2j pi k l / N)/sqrt(N) I_m."""
+    k = np.arange(N)
+    V = np.exp(-2j * np.pi * np.outer(k, k) / N) / np.sqrt(N)
+    return np.kron(V, np.eye(m))
+
+
 def check_infeasibility_certificate(cert, sigma, N):
     """Check an infeasibility certificate against the band lags with numpy only.
 

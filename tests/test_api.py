@@ -6,18 +6,17 @@ PUBLIC_NAMES = [
     "DegenerateDataError", "DegenerateProcessError", "DimensionError",
     "ExtensionResult", "FeasibilityCertificate", "HorizonExhaustedError",
     "IdentifyResult", "InfeasibleBandError", "InfeasibleExtensionError",
-    "InvalidModelError", "LevinsonResult", "ModelResidualReport",
-    "NotPositiveDefiniteError", "NotReciprocalError", "ReciprocalModel",
-    "ReconstructionError", "SolveDiagnostics", "SpectralForm", "ar_extend",
-    "assemble_banded", "assemble_circulant", "band_residual", "block_levinson",
-    "blockcirc", "build_yule_walker_system", "covariance_of_model",
-    "dft_block_diagonalize", "dual_gradient", "dual_objective", "entropy", "errors",
-    "feasibility", "feasibility_certificate", "find_feasible_N", "fourier_matrix",
+    "InvalidModelError", "ModelResidualReport", "NotPositiveDefiniteError",
+    "NotReciprocalError", "ReciprocalModel", "ReconstructionError",
+    "SolveDiagnostics", "SpectralForm", "ar_extend", "assemble_banded",
+    "assemble_circulant", "band_residual", "block_levinson",
+    "build_yule_walker_system", "covariance_of_model", "dft_block_diagonalize",
+    "dual_gradient", "dual_objective", "entropy", "feasibility_certificate",
     "identify", "idft_reconstruct", "inverse", "is_positive_definite",
-    "is_strictly_positive", "log_likelihood", "logdet", "maxent",
-    "model_from_covariance", "project_circulant", "reciprocal", "sample",
-    "shift_matrix", "solve", "spectral_bounds", "sufficient_statistics",
-    "toeplitz_gram", "verify_model", "wrap_sequence", "yule_walker",
+    "is_strictly_positive", "log_likelihood", "logdet", "model_from_covariance",
+    "project_circulant", "sample", "solve", "spectral_bounds",
+    "sufficient_statistics", "toeplitz_gram", "verify_model", "wrap_sequence",
+    "yule_walker",
 ]
 
 

@@ -161,6 +161,16 @@ class TestSampleAndIdentify:
         assert "ridge" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", ["-1", "-2"])
+    def test_identify_negative_order_exits_1(self, tmp_path, capsys, n):
+        data = cm.Dataset(1, 16, 5, np.random.default_rng(5).standard_normal((5, 16, 1)))
+        path = tmp_path / "data.json"
+        _jsonio.dump(data.to_json_dict(), path)
+        out = tmp_path / "fit"
+        assert main(["identify", "--data", str(path), "--n", n, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"circmax: lag order must be >= 0, got {n}\n"
+        assert not out.exists()
+
     def test_identify_malformed_exits_1(self, tmp_path):
         path = tmp_path / "data.json"
         path.write_text("[1, 2,")

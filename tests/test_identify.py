@@ -50,6 +50,14 @@ class TestSufficientStatistics:
         with pytest.raises(cm.DimensionError):
             cm.sufficient_statistics(data, 3)
 
+    @pytest.mark.parametrize("n", [-1, -2])
+    def test_negative_order(self, n):
+        data = cm.Dataset(1, 8, 2, np.ones((2, 8, 1)))
+        with pytest.raises(cm.DimensionError, match=f"lag order must be >= 0, got {n}"):
+            cm.sufficient_statistics(data, n)
+        with pytest.raises(cm.DimensionError, match=f"lag order must be >= 0, got {n}"):
+            cm.identify(data, n)
+
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 2)])
     def test_overflow_names_the_realizations(self, m, n):
         rng = np.random.default_rng(3)
@@ -94,7 +102,7 @@ class TestLogLikelihood:
     def test_white_value(self):
         model = cm.ReciprocalModel(1, 0, 6, blocks(1.0))
         stats = cm.CovBand(1, 0, np.ones((1, 1, 1)))
-        assert abs(cm.log_likelihood(model, stats, 1) - (-6.0)) < 1e-14
+        assert abs(cm.log_likelihood(model, stats) - (-6.0)) < 1e-14
 
     def test_matches_dense_sample_pairing(self):
         rng = np.random.default_rng(3)
@@ -105,7 +113,7 @@ class TestLogLikelihood:
         S = np.einsum("tsi,tuj->siuj", Y, Y).reshape(16, 16) / 5
         Md = model.assembled().to_dense()
         want = np.linalg.slogdet(Md)[1] - float(np.sum(Md * S.T))
-        got = cm.log_likelihood(model, stats, 5)
+        got = cm.log_likelihood(model, stats)
         assert abs(got - want) < 1e-10 * (1 + abs(want))
 
     def test_equals_negated_dual_for_narrower_model(self):
@@ -113,9 +121,9 @@ class TestLogLikelihood:
         model = random_model(rng, 2, 1, 10)
         data = cm.Dataset(2, 10, 4, rng.standard_normal((4, 10, 2)))
         stats = cm.sufficient_statistics(data, 3)
-        assert cm.log_likelihood(model, stats, 4) == -cm.dual_objective(model, stats)
+        assert cm.log_likelihood(model, stats) == -cm.dual_objective(model, stats)
         short = cm.CovBand(2, 1, stats.sigma[:2])
-        assert cm.log_likelihood(model, stats, 4) == cm.log_likelihood(model, short, 4)
+        assert cm.log_likelihood(model, stats) == cm.log_likelihood(model, short)
 
     def test_concavity_midpoint(self):
         rng = np.random.default_rng(4)
@@ -125,8 +133,8 @@ class TestLogLikelihood:
             b = random_model(rng, 1, 1, 8)
             mid = cm.ReciprocalModel(1, 1, 8, 0.5 * (np.asarray(a.M_blocks) +
                                                      np.asarray(b.M_blocks)))
-            La, Lb = (cm.log_likelihood(x, stats, 1) for x in (a, b))
-            Lm = cm.log_likelihood(mid, stats, 1)
+            La, Lb = (cm.log_likelihood(x, stats) for x in (a, b))
+            Lm = cm.log_likelihood(mid, stats)
             assert Lm >= 0.5 * (La + Lb) - 1e-12
 
     def test_maxent_solution_maximizes(self):
@@ -145,7 +153,7 @@ class TestLogLikelihood:
             lo, _ = cm.spectral_bounds(model.assembled())
             if lo <= 1e-9:
                 return -np.inf
-            return cm.log_likelihood(model, stats, 1)
+            return cm.log_likelihood(model, stats)
 
         for _ in range(8):
             g0 = np.linspace(best[0] - width[0], best[0] + width[0], 21)
@@ -156,7 +164,7 @@ class TestLogLikelihood:
             width *= 0.12
         solver = result.model.M_blocks[[0, 1], 0, 0]
         assert np.abs(best - solver).max() <= 1e-5
-        assert cm.log_likelihood(result.model, stats, 1) >= L(best) - 1e-12
+        assert cm.log_likelihood(result.model, stats) >= L(best) - 1e-12
 
 
 class TestIdentify:
@@ -177,7 +185,7 @@ class TestIdentify:
         res = cm.identify(data, 2)
         for _ in range(50):
             other = random_model(rng, 1, 2, 8)
-            assert res.log_likelihood >= cm.log_likelihood(other, res.stats, data.T)
+            assert res.log_likelihood >= cm.log_likelihood(other, res.stats)
 
     def test_estimate_close_at_large_T(self):
         true = cm.ReciprocalModel(1, 2, 8, blocks(1.7, -0.75, 0.1))
