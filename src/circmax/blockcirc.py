@@ -40,8 +40,19 @@ IMAG_TOL = 1e-10       # largest tolerated imaginary residue, relative to block 
 
 
 def _as_blocks(blocks, shape: tuple, name: str) -> np.ndarray:
-    """The one real-array intake: a read-only float copy, finite and of the given shape."""
-    a = np.array(blocks, dtype=float)
+    """The one real-array intake: a read-only float array, finite and of the given shape.
+
+    A read-only float64 array whose memory owner is read-only too (as
+    ``sample``'s output is) is kept as it is; anything else, a read-only
+    view of writeable memory included, is copied, so that no later write
+    to the caller's array can reach the result.
+    """
+    owner = blocks
+    while isinstance(owner, np.ndarray) and owner.base is not None:
+        owner = owner.base
+    frozen = (isinstance(owner, np.ndarray) and not owner.flags.writeable
+              and blocks.dtype == float and not blocks.flags.writeable)
+    a = blocks if frozen else np.array(blocks, dtype=float)
     if a.shape != shape:
         raise DimensionError(f"{name} must have shape {shape}, got {a.shape}")
     if not np.isfinite(a).all():

@@ -21,6 +21,7 @@ from .errors import (DegenerateProcessError, DimensionError, InvalidModelError,
                      NotPositiveDefiniteError, NotReciprocalError)
 
 DEFAULT_BAND_TOL = 1e-6
+_SAMPLE_BLOCK_BYTES = 2**18  # normals drawn per block by `sample`; README "Scope" has the sweep
 
 
 @dataclass(frozen=True)
@@ -197,21 +198,33 @@ def sample(model: ReciprocalModel, T: int, seed: int) -> Dataset:
     """T independent zero-mean Gaussian periods with covariance M_N^{-1}.
 
     Colors white noise with the frequency-wise Hermitian square root of
-    the covariance spectrum, one (m, m) @ (m, T) product per frequency.
-    Output is a deterministic function of seed, of shape (T, N, m) and
-    laid out in memory as (N, m, T), realization index fastest.
+    the covariance spectrum, one (m, m) @ (m, c) product per frequency,
+    in blocks of c = max(1, _SAMPLE_BLOCK_BYTES // (8 N m)) realizations.
+    Each block's ``irfft`` writes straight into its slice of the output,
+    which ``Dataset`` keeps without a copy, so the peak is the 8 T N m
+    bytes of the output plus a few blocks of temporaries.  Output is a
+    deterministic function of seed (the stream of one (T, N, m) draw),
+    read-only, of shape (T, N, m) and laid out in memory as (N, m, T),
+    realization index fastest.
     """
     if T < 1:
         raise DimensionError("need T >= 1")
+    if seed < 0:
+        raise DimensionError("need seed >= 0")
     m, N = model.m, model.N
     psi = _hermitian_part(np.fft.rfft(model.assembled().first_col, axis=0))
     w, V = np.linalg.eigh(psi)
     if not _pd(w).all():
         raise InvalidModelError("invalid model: assembled matrix not PD")
-    # Hermitian square root of each covariance block Psi_l(C) = Psi_l(M)^{-1}
-    roots = (V / np.sqrt(w[:, None, :])) @ V.conj().swapaxes(1, 2)
-    # the rfft of the noise holds its spectrum at frequency -l, hence the
-    # conjugate roots; the normals are freed once transformed
-    Zf = np.fft.rfft(np.random.default_rng(seed).standard_normal((T, N, m)), axis=1)
-    Zf = roots.conj() @ Zf.transpose(1, 2, 0)
-    return Dataset(m, N, T, np.fft.irfft(Zf, n=N, axis=0).transpose(2, 0, 1))
+    # Hermitian square root of each covariance block Psi_l(C) = Psi_l(M)^{-1},
+    # conjugated because the rfft of the noise holds its spectrum at -l
+    roots = ((V / np.sqrt(w[:, None, :])) @ V.conj().swapaxes(1, 2)).conj()
+    rng = np.random.default_rng(seed)
+    Y = np.empty((N, m, T))
+    c = max(1, _SAMPLE_BLOCK_BYTES // (8 * N * m))
+    for t in range(0, T, c):
+        Z = np.ascontiguousarray(rng.standard_normal((min(c, T - t), N, m)).transpose(0, 2, 1))
+        Zf = roots @ np.fft.rfft(Z).transpose(2, 1, 0)
+        np.fft.irfft(Zf, n=N, axis=0, out=Y[:, :, t:t + c])
+    Y.flags.writeable = False
+    return Dataset(m, N, T, Y.transpose(2, 0, 1))

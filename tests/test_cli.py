@@ -130,6 +130,13 @@ class TestSampleAndIdentify:
         assert capsys.readouterr().err == "circmax: need T >= 1\n"
         assert not out.exists()
 
+    def test_sample_negative_seed_exits_1(self, tmp_path, model_file, capsys):
+        out = tmp_path / "d.json"
+        assert main(["sample", "--model", str(model_file), "--T", "3",
+                     "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "circmax: need seed >= 0\n"
+        assert not out.exists()
+
     def test_identify_round_trip(self, tmp_path, model_file):
         data_path = tmp_path / "data.json"
         main(["sample", "--model", str(model_file), "--T", "5000",

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import circmax as cm
+from circmax import reciprocal
 from conftest import random_model, random_stationary_band
 
 
@@ -285,6 +288,34 @@ class TestSample:
             got = cm.sample(model, T, seed=N).realizations
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_oracle_across_blocks(self, m):
+        N = 64
+        c = reciprocal._SAMPLE_BLOCK_BYTES // (8 * N * m)
+        T = 3 * c + 7  # three full blocks and a ragged fourth
+        assert c > 7
+        model = random_model(np.random.default_rng(m), m, 2, N)
+        want = sample_oracle(model, T, seed=m)
+        got = cm.sample(model, T, seed=m).realizations
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_peak_memory_under_one_and_a_half_outputs(self):
+        m, N, T = 2, 512, 600
+        model = cm.ReciprocalModel(m, 1, N, np.stack([4.0 * np.eye(m), np.eye(m)]))
+        tracemalloc.start()
+        try:
+            cm.sample(model, T, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * T * N * m
+
+    @pytest.mark.parametrize("seed", [-1, -2**40])
+    def test_negative_seed_rejected(self, seed):
+        model = cm.ReciprocalModel(1, 1, 6, blocks(1.0, 0.3))
+        with pytest.raises(cm.DimensionError, match="need seed >= 0"):
+            cm.sample(model, 3, seed)
+
     @pytest.mark.parametrize("m,T", [(1, 1), (1, 5), (2, 1), (2, 4), (3, 6)])
     def test_realizations_are_read_only_and_realization_fastest(self, m, T):
         model = random_model(np.random.default_rng(m), m, 1, 7)
@@ -293,6 +324,61 @@ class TestSample:
         # sufficient_statistics reads this (N, m, T) view without a copy
         assert Y.transpose(1, 2, 0).flags.c_contiguous
         assert np.shares_memory(np.ascontiguousarray(Y.transpose(1, 2, 0)), Y)
+
+
+class TestIntakeAliasing:
+    """Dataset keeps only an array nobody can write; anything else is copied."""
+
+    @pytest.mark.parametrize("freeze_owner", [False, True])
+    def test_writeable_array_is_copied(self, freeze_owner):
+        x = np.ones((2, 4, 1))
+        Y = x[:]
+        x.flags.writeable = not freeze_owner  # Y can write x's memory either way
+        data = cm.Dataset(1, 4, 2, Y)
+        Y[0, 0, 0] = 5.0
+        assert not np.shares_memory(data.realizations, Y)
+        assert np.all(data.realizations == 1.0)
+
+    @pytest.mark.parametrize("view", [
+        lambda x: np.broadcast_to(x, (2, 4, 1)),
+        lambda x: np.lib.stride_tricks.as_strided(x, writeable=False),
+        lambda x: x[:],  # made read-only below; its owner x stays writeable
+    ], ids=["broadcast_to", "as_strided", "slice"])
+    def test_read_only_view_of_writeable_memory_is_copied(self, view):
+        x = np.ones((2, 4, 1))
+        v = view(x)
+        v.flags.writeable = False
+        data = cm.Dataset(1, 4, 2, v)
+        x[...] = 5.0
+        assert np.all(data.realizations == 1.0)
+
+    def test_sample_output_is_kept(self):
+        model = random_model(np.random.default_rng(6), 2, 1, 7)
+        Y = cm.sample(model, 5, seed=3).realizations
+        again = cm.Dataset(2, 7, 5, Y)
+        assert np.shares_memory(again.realizations, Y)
+        assert not again.realizations.flags.writeable
+
+    @pytest.mark.parametrize("writeable", [True, False])
+    @pytest.mark.parametrize("make,good,name", [
+        (lambda a: cm.CovBand(2, 1, a), [[[2.0, 0.5], [0.5, 2.0]], [[0.3, 0.1], [0.0, 0.2]]],
+         "sigma"),
+        (lambda a: cm.ReciprocalModel(2, 1, 5, a),
+         [[[2.0, 0.1], [0.1, 2.0]], [[0.3, 0.0], [0.1, -0.2]]], "M_blocks"),
+        (lambda a: cm.Dataset(2, 1, 2, a), [[[1.0, 2.0]], [[3.0, 4.0]]], "realizations"),
+    ])
+    def test_errors_do_not_depend_on_writeability(self, make, good, name, writeable):
+        def owned(a):
+            a = np.array(a, dtype=float)
+            a.flags.writeable = writeable
+            return a
+        bad = np.array(good)
+        bad[1, 0, 1] = float("nan")
+        with pytest.raises(cm.DimensionError, match=f"{name} has a non-finite entry"):
+            make(owned(bad))
+        with pytest.raises(cm.DimensionError, match=f"{name} must have shape"):
+            make(owned(good)[:1])
+        make(owned(good))
 
 
 class TestJson:
